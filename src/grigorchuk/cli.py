@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 
 from . import bench as bench_mod
-from .algebraic import AlgebraicValue
 from .conjugacy import (build_conj_tree, q_set, shared_context,
                         subtree_size_census)
-from .oracle import abelian_image, render_report, validate_small_instances
-from .quotient import standard_lift_table, standard_quotient
+from .oracle import abelian_image
+from .quotient import K_GENERATORS, standard_lift_table, standard_quotient
 from .splitting import split, split_shifted
 from .tree_action import is_trivial_at_depth, oracle_depth
 from .word_problem import build_wp_tree, is_trivial, tree_answer
@@ -83,13 +83,13 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_wp(args) -> int:
     word = reduce_word(parse_word(args.word))
-    print("YES" if is_trivial(word) else "NO")
     if args.tree or args.dot:
         tree = build_wp_tree(word)
-        if args.tree:
-            _write(args.tree, tree.to_json())
-        if args.dot:
-            _write(args.dot, tree.to_dot())
+        _export(tree, args)
+        trivial = tree_answer(tree)
+    else:
+        trivial = is_trivial(word)
+    print("YES" if trivial else "NO")
     return 0
 
 
@@ -130,15 +130,14 @@ def _cmd_coset(args) -> int:
 def _cmd_conj(args) -> int:
     u = reduce_word(parse_word(args.u))
     v = reduce_word(parse_word(args.v))
-    qs = q_set(u, v)
-    inner = ", ".join(str(i) for i in sorted(qs))
-    print(f"{'YES' if qs else 'NO'}, Q = {{{inner}}}")
     if args.tree or args.dot:
         tree = build_conj_tree(u, v)
-        if args.tree:
-            _write(args.tree, tree.to_json())
-        if args.dot:
-            _write(args.dot, tree.to_dot())
+        _export(tree, args)
+        qs = tree.q
+    else:
+        qs = q_set(u, v)
+    inner = ", ".join(str(i) for i in sorted(qs))
+    print(f"{'YES' if qs else 'NO'}, Q = {{{inner}}}")
     return 0
 
 
@@ -149,14 +148,12 @@ def _selftest_checks():
 
     yield "quotient has 16 elements", q.size == 16
     yield ("normal generators of K are trivial in the quotient",
-           all(q.coset_of(w) == 0
-               for w in ("abab", "badabada", "abadabad")))
+           all(q.coset_of(w) == 0 for w in K_GENERATORS))
     yield ("even cosets form a subgroup of order 8",
            len(q.even_cosets()) == 8)
     yield "lift table has 32 pairs", len(t.pairs) == 32
     yield ("each even coset is a lift value exactly 4 times",
-           sorted(t.pairs.values()).count(q.coset_of("abab")) == 4
-           and len(set(t.pairs.values())) == 8)
+           Counter(t.pairs.values()) == dict.fromkeys(q.even_cosets(), 4))
     yield "(ad)^4 is trivial: word problem", is_trivial("adadadad")
     yield ("(ad)^4 is trivial: tree action",
            is_trivial_at_depth("adadadad", oracle_depth(8)))
@@ -198,6 +195,14 @@ def _cmd_bench(args) -> int:
     print(f"tree size exponent: {size_exp:.2f}")
     print(f"time exponent:      {time_exp:.2f}")
     return 0
+
+
+def _export(tree, args) -> None:
+    """Write a recorded decision tree to the --tree and --dot paths."""
+    if args.tree:
+        _write(args.tree, tree.to_json())
+    if args.dot:
+        _write(args.dot, tree.to_dot())
 
 
 def _write(path: str, text: str) -> None:

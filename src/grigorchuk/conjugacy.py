@@ -25,7 +25,8 @@ come out empty.
 
 Q-sets are bit masks over the 16 cosets internally; distinct words are
 interned to integers once, so the memoized recursion works on integer
-pairs.
+pairs.  One helper gives a pair's node kind and child pairs; the
+recursion, tree sizes and explicit trees all walk it.
 """
 
 from __future__ import annotations
@@ -239,17 +240,31 @@ class ConjContext:
         v = reduce_word(v)
         return self._q_rec(self.intern(u), self.intern(v), set())
 
+    def _branch(self, iu: int, iv: int) -> tuple[str, tuple]:
+        """Node kind of a pair and its child pairs, in the order
+        (u0, v0), (u1, v1), (u0, v1), (u1, v0) for an S-node and
+        (u0, v0), (u1, v0) for an N-node; leaves have no children."""
+        if self._parity[iu] != self._parity[iv]:
+            return "leaf-empty", ()
+        if self._base[iu] and self._base[iv]:
+            return "leaf-base", ()
+        u0, u1 = self._child_ids(iu)
+        v0, v1 = self._child_ids(iv)
+        if self._parity[iu] == 0:
+            return "S", ((u0, v0), (u1, v1), (u0, v1), (u1, v0))
+        return "N", ((u0, v0), (u1, v0))
+
     def _q_rec(self, iu: int, iv: int, onstack: set) -> int:
         key = (iu, iv)
         memo = self._memo
         cached = memo.get(key)
         if cached is not None:
             return cached
-        pu = self._parity[iu]
-        if pu != self._parity[iv]:
+        kind, pairs = self._branch(iu, iv)
+        if kind == "leaf-empty":
             memo[key] = 0
             return 0
-        if self._base[iu] and self._base[iv]:
+        if kind == "leaf-base":
             m = self.base_table[(self._words[iu], self._words[iv])]
             memo[key] = m
             return m
@@ -257,27 +272,27 @@ class ConjContext:
             raise RuntimeError("cyclic Q dependency at "
                                f"({self._words[iu]!r}, {self._words[iv]!r})")
         onstack.add(key)
-        u0, u1 = self._child_ids(iu)
-        v0, v1 = self._child_ids(iv)
         m = 0
-        if pu == 0:
-            a = self._q_rec(u0, v0, onstack)
+        if kind == "S":
+            p00, p11, p01, p10 = pairs
+            a = self._q_rec(*p00, onstack)
             if a:
-                b = self._q_rec(u1, v1, onstack)
+                b = self._q_rec(*p11, onstack)
                 if b:
                     m |= self._s_combine(a, b, False)
-            c = self._q_rec(u1, v0, onstack)
+            c = self._q_rec(*p10, onstack)
             if c:
-                d = self._q_rec(u0, v1, onstack)
+                d = self._q_rec(*p01, onstack)
                 if d:
                     m |= self._s_combine(c, d, True)
         else:
             cu0, cu1 = self._sec_cosets[iu]
             cv1 = self._sec_cosets[iv][1]
-            a = self._q_rec(u0, v0, onstack)
+            p00, p10 = pairs
+            a = self._q_rec(*p00, onstack)
             if a:
                 m |= self._n_combine(a, cv1, cu1, False)
-            b = self._q_rec(u1, v0, onstack)
+            b = self._q_rec(*p10, onstack)
             if b:
                 m |= self._n_combine(b, cv1, cu0, True)
         onstack.discard(key)
@@ -291,30 +306,16 @@ class ConjContext:
     def tree_size(self, u: str, v: str) -> int:
         """Size the fully expanded branching tree would have, computed
         by sharing instead of expansion."""
-        iu = self.intern(reduce_word(u))
-        iv = self.intern(reduce_word(v))
         memo: dict[tuple[int, int], int] = {}
 
-        def size(ku: int, kv: int) -> int:
-            key = (ku, kv)
+        def size(key: tuple[int, int]) -> int:
             got = memo.get(key)
-            if got is not None:
-                return got
-            if self._parity[ku] != self._parity[kv] or (
-                    self._base[ku] and self._base[kv]):
-                memo[key] = 1
-                return 1
-            u0, u1 = self._child_ids(ku)
-            v0, v1 = self._child_ids(kv)
-            if self._parity[ku] == 0:
-                total = 1 + (size(u0, v0) + size(u1, v1)
-                             + size(u0, v1) + size(u1, v0))
-            else:
-                total = 1 + size(u0, v0) + size(u1, v0)
-            memo[key] = total
-            return total
+            if got is None:
+                got = 1 + sum(size(child) for child in self._branch(*key)[1])
+                memo[key] = got
+            return got
 
-        return size(iu, iv)
+        return size((self.intern(reduce_word(u)), self.intern(reduce_word(v))))
 
 
 _shared: ConjContext | None = None
@@ -386,33 +387,17 @@ class ConjNode:
 
 
 def build_conj_tree(u: str, v: str) -> ConjNode:
-    """Fully expanded branching tree (no sharing) with per-node Q."""
+    """Fully expanded branching tree (no sharing) with per-node Q, read
+    off the memoized recursion of the shared context."""
     ctx = shared_context()
-    u = reduce_word(u)
-    v = reduce_word(v)
 
-    def build(uw: str, vw: str) -> ConjNode:
-        qval = _mask_to_set(ctx.q_mask(uw, vw))
-        pu, pv = a_parity(uw), a_parity(vw)
-        if pu != pv:
-            return ConjNode(uw, vw, "leaf-empty", qval)
-        if len(uw) <= 1 and len(vw) <= 1:
-            return ConjNode(uw, vw, "leaf-base", qval)
-        if pu == 0:
-            u0, u1 = split(uw)
-            v0, v1 = split(vw)
-            pairs = [(u0, v0), (u1, v1), (u0, v1), (u1, v0)]
-            kind = "S"
-        else:
-            u0, u1 = split_shifted(uw)
-            v0, v1 = split_shifted(vw)
-            pairs = [(reduce_word(u0 + u1), reduce_word(v0 + v1)),
-                     (reduce_word(u1 + u0), reduce_word(v0 + v1))]
-            kind = "N"
-        return ConjNode(uw, vw, kind, qval,
-                        [build(x, y) for x, y in pairs])
+    def build(key: tuple[int, int]) -> ConjNode:
+        kind, pairs = ctx._branch(*key)
+        return ConjNode(ctx._words[key[0]], ctx._words[key[1]], kind,
+                        _mask_to_set(ctx._q_rec(*key, set())),
+                        [build(child) for child in pairs])
 
-    return build(u, v)
+    return build((ctx.intern(reduce_word(u)), ctx.intern(reduce_word(v))))
 
 
 def explicit_tree_size(u: str, v: str) -> int:
@@ -434,11 +419,10 @@ def word_tree_size(word: str) -> int:
 
 
 def word_children(word: str) -> tuple[str, str]:
-    if a_parity(word) == 0:
-        w0, w1 = split(word)
-        return w0, w1
-    w0, w1 = split_shifted(word)
-    return reduce_word(w0 + w1), reduce_word(w1 + w0)
+    """The two per-coordinate children the branching step gives a word."""
+    ctx = shared_context()
+    c0, c1 = ctx._child_ids(ctx.intern(reduce_word(word)))
+    return ctx._words[c0], ctx._words[c1]
 
 
 def subtree_size_census(norm_bound: int = 9, max_len: int = 12):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 from .conjugacy import are_conjugate
-from .word_problem import equal, is_trivial
+from .word_problem import equal
 from .words import enumerate_reduced, inverse, reduce_word
 
 

@@ -26,7 +26,6 @@ from .splitting import split
 from .words import LETTERS, a_parity, enumerate_reduced
 
 _BASE_RELATORS = ("aa", "bb", "cc", "dd", "bcd", "abab", "adadadad")
-_FALLBACK_RELATOR = "acacacacacacacac"
 
 K_GENERATORS = ("abab", "badabada", "abadabad")
 
@@ -168,9 +167,6 @@ def build_quotient() -> Quotient:
     16 cosets and the normal generators of K to map to the identity."""
     table, live, find = _coset_enumeration(_BASE_RELATORS)
     if len(live) != 16:
-        table, live, find = _coset_enumeration(
-            _BASE_RELATORS + (_FALLBACK_RELATOR,))
-    if len(live) != 16:
         raise RuntimeError(f"coset enumeration found {len(live)} cosets, "
                            "expected 16")
 
@@ -218,9 +214,6 @@ class LiftTable:
 
     def lift(self, i: int, j: int):
         return self.pairs.get((i, j))
-
-    def defined_pairs(self):
-        return sorted(self.pairs)
 
     def to_csv(self) -> str:
         buf = io.StringIO()

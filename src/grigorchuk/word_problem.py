@@ -8,14 +8,14 @@ at most half the input (after normalization the word starts with 'a'),
 so the recursion tree has height about log2 of the word length and
 total size linear in it.
 
-build_wp_tree records that recursion explicitly, breadth first,
-stopping at the first "no" leaf just like the decision procedure.
+build_wp_tree records that same recursion as it runs, depth first, so
+the exported tree stops at the first "no" leaf exactly where the
+decision does.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 
 from .splitting import split
@@ -26,33 +26,37 @@ def is_trivial(word: str) -> bool:
     return _trivial_reduced(reduce_word(word))
 
 
-def _trivial_reduced(w: str) -> bool:
-    while True:
-        if a_parity(w) != 0:
-            return False
-        if not w:
-            return True
-        if len(w) == 1:
-            return False
+def _trivial_reduced(w: str, node: WpNode | None = None) -> bool:
+    """The decision for a reduced word.  Given a node for w, it records
+    itself there: two children at each split, a mark on each leaf."""
+    while len(w) > 1 and a_parity(w) == 0:
         w, _ = cyclic_normalize(w)
-        if len(w) <= 1:
-            # a rotation strictly shortened the word; re-dispatch
-            continue
-        w0, w1 = split(w)
-        if not _trivial_reduced(w0):
-            return False
-        w = w1
+        if len(w) > 1:
+            w0, w1 = split(w)
+            left = None
+            if node is not None:
+                node.children = [WpNode(w0), WpNode(w1)]
+                left, node = node.children
+            if not _trivial_reduced(w0, left):
+                return False
+            w = w1
+    # odd parity, a single letter, or the empty word
+    trivial = not w
+    if node is not None:
+        node.mark = "yes" if trivial else "no"
+    return trivial
 
 
 def equal(u: str, v: str) -> bool:
     """Whether two words represent the same element."""
-    return is_trivial(reduce_word(reduce_word(u) + inverse(reduce_word(v))))
+    return is_trivial(u + inverse(v))
 
 
 @dataclass
 class WpNode:
     """Node of the explicit decision tree.  mark is "yes", "no", or None
-    for an inner node whose answer is the conjunction of its children."""
+    for an inner node whose answer is the conjunction of its children
+    and for a node the decision never reached (it has no children)."""
     word: str
     mark: str | None = None
     children: list["WpNode"] = field(default_factory=list)
@@ -97,32 +101,11 @@ class WpNode:
 
 
 def build_wp_tree(word: str) -> WpNode:
-    """Explicit decision tree for the triviality check, built breadth
-    first with the same early exit on the first "no" leaf."""
+    """Explicit decision tree: the recursion of is_trivial, recorded
+    depth first.  After the first "no" leaf the decision stops, so the
+    nodes it did not reach keep mark None and no children."""
     root = WpNode(reduce_word(word))
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        w = node.word
-        if a_parity(w) != 0:
-            node.mark = "no"
-            break
-        if not w:
-            node.mark = "yes"
-            continue
-        if len(w) == 1:
-            node.mark = "no"
-            break
-        normalized, _ = cyclic_normalize(w)
-        if len(normalized) <= 1:
-            # rotation alone settled this node's word
-            node.mark = "yes" if not normalized else "no"
-            if node.mark == "no":
-                break
-            continue
-        w0, w1 = split(normalized)
-        node.children = [WpNode(w0), WpNode(w1)]
-        queue.extend(node.children)
+    _trivial_reduced(root.word, root)
     return root
 
 

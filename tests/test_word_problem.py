@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -144,3 +145,31 @@ def test_rejects_bad_letters():
         is_trivial("abx")
     with pytest.raises(WordError):
         equal("a", "e")
+
+
+def test_tree_follows_the_decision_depth_first():
+    # Leaf marks in depth-first, left-to-right order: any number of
+    # "yes", then at most one "no", after which no node was visited.
+    rng = random.Random(11)
+    words = []
+    for _ in range(150):
+        words.append(random_reduced_word(rng, 2 * rng.randrange(1, 40)))
+        x = random_reduced_word(rng, rng.randrange(0, 30))
+        words.append(inverse(x) + "abab" + x)
+        words.append(x + "adadadad" + inverse(x))
+    answers = set()
+    for w in words:
+        seen = []
+        stack = [build_wp_tree(w)]
+        while stack:
+            node = stack.pop()
+            if node.children:
+                assert node.mark is None
+                stack.extend(reversed(node.children))
+            else:
+                seen.append({"yes": "y", "no": "n", None: "u"}[node.mark])
+        marks = "".join(seen)
+        assert re.fullmatch(r"y*(nu*)?", marks), (w, marks)
+        assert ("n" in marks) == (not is_trivial(w)), w
+        answers.add("n" in marks)
+    assert answers == {True, False}
