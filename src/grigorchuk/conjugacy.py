@@ -84,11 +84,13 @@ class ConjContext:
     def intern(self, word: str) -> int:
         wid = self._ids.get(word)
         if wid is None:
+            # coset_of raises on a foreign letter: nothing is recorded yet
+            coset = self.q.coset_of(word)
             wid = len(self._words)
             self._ids[word] = wid
             self._words.append(word)
             self._parity.append(a_parity(word))
-            self._coset.append(self.q.coset_of(word))
+            self._coset.append(coset)
             self._base.append(len(word) <= 1)
             self._children.append(None)
             self._sec_cosets.append(None)

@@ -22,10 +22,13 @@ from typing import NamedTuple
 
 from .words import a_parity, is_reduced, reduce_word
 
-# Section letters of a single star u; a conjugated triple "a u a" swaps
-# the two entries.
-_SEC0 = {"b": "a", "c": "a", "d": ""}
-_SEC1 = {"b": "c", "c": "d", "d": "b"}
+# Section letters of each factor as translation tables: a lower-case
+# star stands for a single-letter factor u, an upper-case one for a
+# conjugated triple "a u a", which swaps the two entries.
+_SUB0 = str.maketrans({"b": "a", "c": "a", "d": None,
+                       "B": "c", "C": "d", "D": "b"})
+_SUB1 = str.maketrans({"b": "c", "c": "d", "d": "b",
+                       "B": "a", "C": "a", "D": None})
 
 
 class SplitPair(NamedTuple):
@@ -33,13 +36,18 @@ class SplitPair(NamedTuple):
     right: str
 
 
+def _check(word: str, parity: int) -> None:
+    if not is_reduced(word):
+        raise ValueError("word must be reduced")
+    if a_parity(word) != parity:
+        raise ValueError(
+            f"word must have {'odd' if parity else 'even'} a-parity")
+
+
 def factor_decomposition(word: str) -> list[str]:
     """Factors of an even reduced word, each "u" or "aua" with u in
     {b, c, d}.  Their concatenation is the word itself."""
-    if not is_reduced(word):
-        raise ValueError("word must be reduced")
-    if a_parity(word) != 0:
-        raise ValueError("word must have even a-parity")
+    _check(word, 0)
     factors = []
     i = 0
     n = len(word)
@@ -56,23 +64,22 @@ def factor_decomposition(word: str) -> list[str]:
 
 def split(word: str) -> SplitPair:
     """Sections (w0, w1) of a reduced word of even a-parity."""
-    part0 = []
-    part1 = []
-    for f in factor_decomposition(word):
-        if len(f) == 1:
-            part0.append(_SEC0[f])
-            part1.append(_SEC1[f])
-        else:
-            u = f[1]
-            part0.append(_SEC1[u])
-            part1.append(_SEC0[u])
-    return SplitPair(reduce_word("".join(part0)), reduce_word("".join(part1)))
+    _check(word, 0)
+    # The stars alternate between single-letter factors and the middles
+    # of "a?a" factors, starting with a middle when the word begins
+    # with 'a'.  Middles are marked upper case, so one translation per
+    # section substitutes every factor in place.
+    lead = 1 if word.startswith("a") else 0
+    stars = word[lead::2]
+    marked = bytearray(stars.upper(), "ascii")
+    marked[lead::2] = stars[lead::2].encode("ascii")
+    factors = marked.decode("ascii")
+    return SplitPair(reduce_word(factors.translate(_SUB0)),
+                     reduce_word(factors.translate(_SUB1)))
 
 
 def split_shifted(word: str) -> SplitPair:
     """Sections of word*a for a reduced word of odd a-parity."""
-    if not is_reduced(word):
-        raise ValueError("word must be reduced")
-    if a_parity(word) != 1:
-        raise ValueError("word must have odd a-parity")
-    return split(reduce_word(word + "a"))
+    _check(word, 1)
+    # a reduced word times 'a' is reduced, or drops its final 'a'
+    return split(word[:-1] if word.endswith("a") else word + "a")

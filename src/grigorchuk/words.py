@@ -4,7 +4,10 @@ The four letters are involutions and b, c, d commute with each other,
 with the product of any two distinct ones equal to the third.  Rewriting
 with xx -> empty and rs -> t (r, s, t distinct among b, c, d) is
 confluent, and a reduced word strictly alternates 'a' with letters from
-{b, c, d}.  The empty word is displayed as "1".
+{b, c, d}.  That alternation is how is_reduced tests a word: one of its
+two interleaved letter slices must be all 'a' and the other all stars,
+so no rewriting runs on words that are already reduced.  The empty word
+is displayed as "1".
 """
 
 from __future__ import annotations
@@ -68,6 +71,12 @@ def reduce_word(word: str) -> str:
 
 
 def is_reduced(word: str) -> bool:
+    even, odd = word[0::2], word[1::2]
+    if not (even.strip("a") or odd.strip(STARS)):
+        return True
+    if not (odd.strip("a") or even.strip(STARS)):
+        return True
+    # not alternating: reduce, which also rejects foreign letters
     return reduce_word(word) == word
 
 
@@ -102,11 +111,19 @@ def compare_norm(u: str, v: str) -> int:
 
 def cyclic_normalize(word: str):
     """Conjugate a reduced word of even a-parity into rotated normal
-    form by repeatedly moving a short prefix to the end.
+    form.
 
-    Returns (normalized, g) with normalized == reduce(inverse(g) + word + g).
-    The result either has length <= 1 or begins with 'a' and does not
-    end with 'a'; rotation can shorten the word, never lengthen it.
+    Returns (normalized, g) with normalized == reduce(inverse(g) + word + g)
+    and g a prefix of word.  The result either has length <= 1 or begins
+    with 'a' and does not end with 'a'; rotation can shorten the word,
+    never lengthen it.
+
+    A rotation step moves the leading star, or the leading "a" and the
+    star after it when the word both begins and ends with 'a', to the
+    end.  In a reduced word that star meets the last star: equal stars
+    cancel and the scan goes on between two indices; different stars
+    merge into the third and the scan stops.  So the work is linear in
+    the length of the word.
     """
     if not is_reduced(word):
         raise ValueError("word must be reduced")
@@ -114,19 +131,28 @@ def cyclic_normalize(word: str):
         raise ValueError("word must have even a-parity")
     if not word:
         raise ValueError("word must be nonempty")
-    w = word
-    g: list[str] = []
-    while len(w) > 1:
-        if w[0] == "a":
-            if w[-1] != "a":
+    # the current word is word[i:j]; what has been rotated is word[:i]
+    i, j = 0, len(word)
+    while j - i > 1:
+        s = word[i]
+        if s == "a":
+            if word[j - 1] != "a":
                 break
-            # starts and ends with 'a': rotate the first two letters
-            prefix = w[:2]
+            # a s ... t a: the two 'a' cancel and s meets t
+            s = word[i + 1]
+            if j - i == 3:
+                return s, word[:i + 2]
+            i += 2
+            j -= 1
+        elif word[j - 1] == "a":
+            return word[i + 1:j] + s, word[:i + 1]
         else:
-            prefix = w[:1]
-        g.append(prefix)
-        w = reduce_word(w[len(prefix):] + prefix)
-    return w, "".join(g)
+            i += 1
+        # the current word is word[i:j] + s and word[j - 1] is a star
+        if s != word[j - 1]:
+            return word[i:j - 1] + _MERGE[(word[j - 1], s)], word[:i]
+        j -= 1
+    return word[i:j], word[:i]
 
 
 def enumerate_reduced(max_len: int, min_len: int = 0):

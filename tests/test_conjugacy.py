@@ -3,6 +3,8 @@
 import json
 import random
 
+import pytest
+
 from grigorchuk.algebraic import ALPHA, GAMMA_A, AlgebraicValue
 from grigorchuk.conjugacy import (ConjContext, are_conjugate, build_conj_tree,
                                   explicit_tree_size, q_set, shared_context,
@@ -284,3 +286,14 @@ def test_conjugacy_consistent_with_equality():
         assert are_conjugate(u, v)
         if equal(u, v):
             assert are_conjugate(u, v)
+
+
+def test_intern_of_a_foreign_letter_records_nothing():
+    ctx = ConjContext()
+    columns = (ctx._ids, ctx._words, ctx._parity, ctx._coset, ctx._base,
+               ctx._children, ctx._sec_cosets)
+    before = len(ctx._words)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            ctx.intern("ax")
+        assert [len(column) for column in columns] == [before] * 7

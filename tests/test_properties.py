@@ -1,0 +1,127 @@
+"""Property tests of the string layer against slower references.
+
+Each fast path is compared with an independent statement of what it
+computes: is_reduced with reduction, split with a factor-by-factor
+substitution and with the tree action, cyclic_normalize with its
+postcondition, and is_trivial with the depth-truncated tree oracle.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grigorchuk.splitting import split, split_shifted
+from grigorchuk.tree_action import (apply_word, is_trivial_at_depth,
+                                    oracle_depth)
+from grigorchuk.word_problem import is_trivial
+from grigorchuk.words import (STARS, WordError, a_parity, cyclic_normalize,
+                              inverse, is_reduced, reduce_word)
+
+# section letters of a single star; a triple "a u a" swaps them
+_SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
+
+_RELATORS = ("aa", "bcd", "abababab", "adadadad", "adacac" * 4)
+
+
+@st.composite
+def reduced_words(draw, max_size=64):
+    """Reduced words: stars joined by 'a', with an optional 'a' at
+    either end.  The number of stars is drawn first, so long words are
+    as likely as short ones."""
+    n = draw(st.integers(0, max_size // 2))
+    stars = draw(st.text(alphabet=STARS, min_size=n, max_size=n))
+    lead, trail = draw(st.booleans()), draw(st.booleans())
+    if not stars:
+        return "a" if lead or trail else ""
+    return "a" * lead + "a".join(stars) + "a" * trail
+
+
+def even(words):
+    return words.filter(lambda w: a_parity(w) == 0)
+
+
+def _reference_split(word):
+    """Sections by walking the factors of an even reduced word."""
+    part0, part1 = [], []
+    i = 0
+    while i < len(word):
+        if word[i] == "a":
+            sec1, sec0 = _SECTIONS[word[i + 1]]
+            i += 3
+        else:
+            sec0, sec1 = _SECTIONS[word[i]]
+            i += 1
+        part0.append(sec0)
+        part1.append(sec1)
+    return reduce_word("".join(part0)), reduce_word("".join(part1))
+
+
+@given(st.text(alphabet="abcde", max_size=40))
+def test_is_reduced_agrees_with_reduction(word):
+    if "e" in word:
+        with pytest.raises(WordError):
+            is_reduced(word)
+    else:
+        assert is_reduced(word) == (reduce_word(word) == word)
+
+
+@given(st.text(alphabet="abcd", max_size=30))
+def test_split_checks_its_input_then_matches_factor_reference(word):
+    if reduce_word(word) == word and a_parity(word) == 0:
+        assert split(word) == _reference_split(word)
+    else:
+        with pytest.raises(ValueError):
+            split(word)
+
+
+@given(reduced_words(max_size=400))
+def test_split_and_split_shifted_match_factor_reference(word):
+    if a_parity(word) == 0:
+        assert split(word) == _reference_split(word)
+    else:
+        assert split_shifted(word) == _reference_split(
+            reduce_word(word + "a"))
+
+
+@settings(deadline=None)
+@given(even(reduced_words(max_size=24)),
+       st.text(alphabet="01", min_size=1, max_size=5))
+def test_split_matches_tree_action(word, vertex):
+    # an even word fixes the first bit and acts by its sections below it
+    w0, w1 = split(word)
+    assert apply_word(word, "0" + vertex) == "0" + apply_word(w0, vertex)
+    assert apply_word(word, "1" + vertex) == "1" + apply_word(w1, vertex)
+
+
+def _check_normal_form(word):
+    nw, g = cyclic_normalize(word)
+    assert word.startswith(g)
+    assert reduce_word(inverse(g) + word + g) == nw
+    assert len(nw) <= len(word)
+    assert len(nw) <= 1 or (nw[0] == "a" and nw[-1] != "a")
+    return nw
+
+
+@given(even(reduced_words(max_size=4096)).filter(bool))
+def test_cyclic_normalize_postcondition_reduced(word):
+    _check_normal_form(word)
+
+
+@given(even(reduced_words(max_size=16)).filter(bool),
+       reduced_words(max_size=2040))
+def test_cyclic_normalize_postcondition_conjugated(core, x):
+    nw = _check_normal_form(reduce_word(inverse(x) + core + x))
+    # both normal forms are cyclically reduced, so the conjugator is gone
+    assert len(nw) == len(cyclic_normalize(core)[0])
+
+
+@settings(deadline=None)
+@given(st.lists(st.one_of(st.text(alphabet="abcd", max_size=6),
+                          st.sampled_from(_RELATORS),
+                          reduced_words(max_size=8).map(
+                              lambda x: inverse(x) + "adadadad" + x)),
+                max_size=5))
+def test_is_trivial_matches_tree_oracle(pieces):
+    word = "".join(pieces)
+    depth = oracle_depth(max(len(reduce_word(word)), 1))
+    assert is_trivial(word) == is_trivial_at_depth(word, depth)
