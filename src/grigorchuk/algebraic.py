@@ -58,6 +58,9 @@ class AlgebraicValue:
         return f"{self.c0} + {self.c1}α + {self.c2}α²"
 
     def __hash__(self):
+        # a rational value equals its Fraction or int, so it hashes alike
+        if self.c1 == 0 and self.c2 == 0:
+            return hash(self.c0)
         return hash((self.c0, self.c1, self.c2))
 
     def __add__(self, other):

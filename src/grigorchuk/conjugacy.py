@@ -16,17 +16,18 @@ pairs:
   * mixed parity: empty.
   * both words of length <= 1: a fixed base table.
 
-The base table itself: Q(1, 1) is everything, pairs with exactly one
-identity are empty, mixed-parity letter pairs are empty, Q(a, a) comes
-from the N-rule over Q(1, 1), and the {b, c, d} diagonal is pinned down
-as a greatest fixed point of its own S-rule equations, which must agree
-with the evident commuting elements; off-diagonal letter pairs must
+The base table is not written out by hand: the 25 pairs of words of
+length <= 1 are closed under taking children, and the table is the
+greatest fixed point of the same S- and N-rules on them.  Mixed-parity
+pairs come out empty, Q(1, 1) full; the {b, c, d} diagonal must agree
+with the evident commuting elements and every off-diagonal pair must
 come out empty.
 
 Q-sets are bit masks over the 16 cosets internally; distinct words are
 interned to integers once, so the memoized recursion works on integer
 pairs.  One helper gives a pair's node kind and child pairs; the
-recursion, tree sizes and explicit trees all walk it.
+recursion, tree sizes and explicit trees all walk it, and one node rule
+combines child masks for both the recursion and the base table.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from functools import lru_cache
 
 from .quotient import LiftTable, Quotient, standard_lift_table, standard_quotient
 from .splitting import split, split_shifted
+from .word_problem import tree_to_dot
 from .words import (a_parity, display, enumerate_reduced, norm, reduce_word)
 
 _FULL = (1 << 16) - 1
@@ -157,37 +159,28 @@ class ConjContext:
     # -- base table ----------------------------------------------------
 
     def _build_base(self) -> dict[tuple[str, str], int]:
+        """Q-masks of the 25 pairs of words of length <= 1, keyed by
+        words.  Their children are among them again ("" and a have
+        children ("", ""), b has (a, c), c has (a, d), d has ("", b)),
+        so the table is the greatest fixed point of the node rule on
+        these pairs: start every mask full and re-apply the rule until
+        nothing changes.  Every combinator is monotone, so the iteration
+        only shrinks masks and stops.  The result is cross-checked
+        against the commuting lower bound on the b, c, d diagonal, empty
+        off-diagonals and the known sizes."""
         q = self.q
-        base: dict[tuple[str, str], int] = {("", ""): _FULL}
-        letters = "abcd"
-        for x in letters:
-            base[("", x)] = 0
-            base[(x, "")] = 0
-        for s in "bcd":
-            base[("a", s)] = 0
-            base[(s, "a")] = 0
-        # Q(a, a) by the N-rule over Q(1, 1): both section products are
-        # empty words, so the companion coset equals i itself.
-        qaa = 0
-        for i in range(16):
-            t = self._lift_rows[i][i]
-            if t is not None:
-                qaa |= 1 << t
-                qaa |= 1 << q.mult(t, self._img_a)
-        base[("a", "a")] = qaa
-
-        # {b, c, d} diagonal: greatest fixed point of
-        #   Q(b,b) = L(Q(a,a), Q(c,c))
-        #   Q(c,c) = L(Q(a,a), Q(d,d))
-        #   Q(d,d) = L(Q(1,1), Q(b,b))
-        mb = mc = md = _FULL
+        ids = [self.intern(w) for w in ("", "a", "b", "c", "d")]
+        nodes = {(iu, iv): self._expand(iu, iv) for iu in ids for iv in ids}
+        table = dict.fromkeys(nodes, _FULL)
         while True:
-            nb = self._s_combine(qaa, mc, False)
-            nc = self._s_combine(qaa, md, False)
-            nd = self._s_combine(_FULL, mb, False)
-            if (nb, nc, nd) == (mb, mc, md):
+            new = {key: self._node_mask(*key, *node, table.__getitem__)
+                   for key, node in nodes.items()}
+            if new == table:
                 break
-            mb, mc, md = nb, nc, nd
+            table = new
+        base = {(self._words[iu], self._words[iv]): m
+                for (iu, iv), m in table.items()}
+
         # evident commuting elements give lower bounds; the fixed point
         # must not exceed them
         small = [q.coset_of(w) for w in ("", "b", "c", "d")]
@@ -198,33 +191,14 @@ class ConjContext:
         lower_d = lower_bcd
         for c in small:
             lower_d |= 1 << q.mult(ada, c)
-        if mb != lower_bcd or mc != lower_bcd or md != lower_d:
+        if (base[("b", "b")] != lower_bcd or base[("c", "c")] != lower_bcd
+                or base[("d", "d")] != lower_d):
             raise RuntimeError("letter-diagonal fixed point does not match "
                                "the commuting lower bound")
-        base[("b", "b")] = mb
-        base[("c", "c")] = mc
-        base[("d", "d")] = md
-
-        # off-diagonal letter pairs, in dependency order; all must be
-        # empty
-        def s_node(u, v):
-            u0, u1 = split(u)
-            v0, v1 = split(v)
-            out = 0
-            a = base[(u0, v0)]
-            if a:
-                out |= self._s_combine(a, base[(u1, v1)], False)
-            c = base[(u1, v0)]
-            if c:
-                out |= self._s_combine(c, base[(u0, v1)], True)
-            return out
-
-        for u, v in (("c", "d"), ("d", "c"), ("b", "d"), ("d", "b"),
-                     ("b", "c"), ("c", "b")):
-            m = s_node(u, v)
-            if m:
-                raise RuntimeError(f"base set for ({u}, {v}) should be empty")
-            base[(u, v)] = 0
+        for (u, v), m in base.items():
+            if u != v and m:
+                raise RuntimeError(f"base set for ({display(u)}, "
+                                   f"{display(v)}) should be empty")
 
         expected_sizes = {("", ""): 16, ("a", "a"): 4, ("b", "b"): 4,
                           ("c", "c"): 4, ("d", "d"): 8}
@@ -243,18 +217,56 @@ class ConjContext:
         return self._q_rec(self.intern(u), self.intern(v), set())
 
     def _branch(self, iu: int, iv: int) -> tuple[str, tuple]:
-        """Node kind of a pair and its child pairs, in the order
-        (u0, v0), (u1, v1), (u0, v1), (u1, v0) for an S-node and
-        (u0, v0), (u1, v0) for an N-node; leaves have no children."""
+        """Node kind of a pair in the decision and its child pairs: an
+        equal-parity pair of words of length <= 1 is a base-table leaf,
+        any other pair expands."""
+        if (self._base[iu] and self._base[iv]
+                and self._parity[iu] == self._parity[iv]):
+            return "leaf-base", ()
+        return self._expand(iu, iv)
+
+    def _expand(self, iu: int, iv: int) -> tuple[str, tuple]:
+        """Node kind of a pair by the rule alone and its child pairs, in
+        the order (u0, v0), (u1, v1), (u0, v1), (u1, v0) for an S-node
+        and (u0, v0), (u1, v0) for an N-node; a mixed-parity pair is an
+        empty leaf with no children."""
         if self._parity[iu] != self._parity[iv]:
             return "leaf-empty", ()
-        if self._base[iu] and self._base[iv]:
-            return "leaf-base", ()
         u0, u1 = self._child_ids(iu)
         v0, v1 = self._child_ids(iv)
         if self._parity[iu] == 0:
             return "S", ((u0, v0), (u1, v1), (u0, v1), (u1, v0))
         return "N", ((u0, v0), (u1, v0))
+
+    def _node_mask(self, iu: int, iv: int, kind: str, pairs: tuple,
+                   child) -> int:
+        """The S- or N-rule: the mask of pair (iu, iv) from the masks
+        child(pair) of its child pairs.  A partner mask is asked for
+        only when its first mask is nonzero; an empty leaf gives 0."""
+        m = 0
+        if kind == "S":
+            p00, p11, p01, p10 = pairs
+            a = child(p00)
+            if a:
+                b = child(p11)
+                if b:
+                    m |= self._s_combine(a, b, False)
+            c = child(p10)
+            if c:
+                d = child(p01)
+                if d:
+                    m |= self._s_combine(c, d, True)
+        elif kind == "N":
+            cu0, cu1 = self._sec_cosets[iu]
+            cv1 = self._sec_cosets[iv][1]
+            p00, p10 = pairs
+            a = child(p00)
+            if a:
+                m |= self._n_combine(a, cv1, cu1, False)
+            b = child(p10)
+            if b:
+                m |= self._n_combine(b, cv1, cu0, True)
+        return m
 
     def _q_rec(self, iu: int, iv: int, onstack: set) -> int:
         key = (iu, iv)
@@ -263,41 +275,17 @@ class ConjContext:
         if cached is not None:
             return cached
         kind, pairs = self._branch(iu, iv)
-        if kind == "leaf-empty":
-            memo[key] = 0
-            return 0
         if kind == "leaf-base":
             m = self.base_table[(self._words[iu], self._words[iv])]
-            memo[key] = m
-            return m
-        if key in onstack:
-            raise RuntimeError("cyclic Q dependency at "
-                               f"({self._words[iu]!r}, {self._words[iv]!r})")
-        onstack.add(key)
-        m = 0
-        if kind == "S":
-            p00, p11, p01, p10 = pairs
-            a = self._q_rec(*p00, onstack)
-            if a:
-                b = self._q_rec(*p11, onstack)
-                if b:
-                    m |= self._s_combine(a, b, False)
-            c = self._q_rec(*p10, onstack)
-            if c:
-                d = self._q_rec(*p01, onstack)
-                if d:
-                    m |= self._s_combine(c, d, True)
         else:
-            cu0, cu1 = self._sec_cosets[iu]
-            cv1 = self._sec_cosets[iv][1]
-            p00, p10 = pairs
-            a = self._q_rec(*p00, onstack)
-            if a:
-                m |= self._n_combine(a, cv1, cu1, False)
-            b = self._q_rec(*p10, onstack)
-            if b:
-                m |= self._n_combine(b, cv1, cu0, True)
-        onstack.discard(key)
+            if key in onstack:
+                raise RuntimeError(
+                    "cyclic Q dependency at "
+                    f"({self._words[iu]!r}, {self._words[iv]!r})")
+            onstack.add(key)
+            m = self._node_mask(iu, iv, kind, pairs,
+                                lambda pair: self._q_rec(*pair, onstack))
+            onstack.discard(key)
         memo[key] = m
         return m
 
@@ -368,24 +356,12 @@ class ConjNode:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_dot(self) -> str:
-        lines = ["digraph conj {", '  node [shape=box, fontname="monospace"];']
-        counter = [0]
+        return tree_to_dot(self, "conj", ConjNode._dot_label)
 
-        def visit(node: ConjNode) -> int:
-            idx = counter[0]
-            counter[0] += 1
-            qtxt = "{" + ", ".join(str(i) for i in sorted(node.q)) + "}"
-            label = (f"({display(node.u)}, {display(node.v)})"
-                     f"\\n{node.kind}  Q={qtxt}")
-            lines.append(f'  n{idx} [label="{label}"];')
-            for child in node.children:
-                cidx = visit(child)
-                lines.append(f"  n{idx} -> n{cidx};")
-            return idx
-
-        visit(self)
-        lines.append("}")
-        return "\n".join(lines)
+    def _dot_label(self) -> str:
+        qtxt = "{" + ", ".join(str(i) for i in sorted(self.q)) + "}"
+        return (f"({display(self.u)}, {display(self.v)})"
+                f"\\n{self.kind}  Q={qtxt}")
 
 
 def build_conj_tree(u: str, v: str) -> ConjNode:

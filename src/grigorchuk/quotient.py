@@ -23,7 +23,7 @@ import io
 from functools import lru_cache
 
 from .splitting import split
-from .words import LETTERS, a_parity, enumerate_reduced
+from .words import LETTERS, WordError, a_parity, enumerate_reduced
 
 _BASE_RELATORS = ("aa", "bb", "cc", "dd", "bcd", "abab", "adadadad")
 
@@ -140,8 +140,12 @@ class Quotient:
 
     def coset_of(self, word: str) -> int:
         c = 0
-        for ch in word:
-            c = self.table[c][LETTERS.index(ch)]
+        try:
+            for ch in word:
+                c = self.table[c][LETTERS.index(ch)]
+        except ValueError:
+            raise WordError(
+                f"invalid letter {ch!r} in word {word!r}") from None
         return c
 
     def mult(self, i: int, j: int) -> int:

@@ -80,24 +80,33 @@ class WpNode:
         return json.dumps(self.to_dict(), indent=2)
 
     def to_dot(self) -> str:
-        lines = ["digraph wp {", '  node [shape=box, fontname="monospace"];']
-        counter = [0]
+        return tree_to_dot(self, "wp", WpNode._dot_label)
 
-        def visit(node: WpNode) -> int:
-            idx = counter[0]
-            counter[0] += 1
-            label = display(node.word)
-            if node.mark is not None:
-                label += f"\\n[{node.mark}]"
-            lines.append(f'  n{idx} [label="{label}"];')
-            for child in node.children:
-                cidx = visit(child)
-                lines.append(f"  n{idx} -> n{cidx};")
-            return idx
+    def _dot_label(self) -> str:
+        label = display(self.word)
+        if self.mark is not None:
+            label += f"\\n[{self.mark}]"
+        return label
 
-        visit(self)
-        lines.append("}")
-        return "\n".join(lines)
+
+def tree_to_dot(root, name: str, label) -> str:
+    """DOT text of a tree with a children list per node: nodes are
+    numbered depth first, each labelled by label(node)."""
+    lines = [f"digraph {name} {{", '  node [shape=box, fontname="monospace"];']
+    counter = [0]
+
+    def visit(node) -> int:
+        idx = counter[0]
+        counter[0] += 1
+        lines.append(f'  n{idx} [label="{label(node)}"];')
+        for child in node.children:
+            cidx = visit(child)
+            lines.append(f"  n{idx} -> n{cidx};")
+        return idx
+
+    visit(root)
+    lines.append("}")
+    return "\n".join(lines)
 
 
 def build_wp_tree(word: str) -> WpNode:

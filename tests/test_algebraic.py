@@ -68,6 +68,9 @@ def test_hash_consistent_with_eq():
     assert AlgebraicValue(2, 0, 0) == 2
     assert {AlgebraicValue(1, 0, 0), AlgebraicValue(1, 0, 0)} == {
         AlgebraicValue(1, 0, 0)}
+    assert hash(AlgebraicValue(2)) == hash(2)
+    assert 2 in {AlgebraicValue(2)}
+    assert Fraction(1, 2) in {AlgebraicValue(Fraction(1, 2))}
 
 
 def test_str_format():

@@ -37,6 +37,21 @@ def test_base_table_off_diagonals_empty():
         assert ctx.base_table[(x, y)] == 0
 
 
+def test_base_table_matches_witness_search():
+    # Q(u, v) holds the cosets of the x with x^-1 v x = u; conjugators
+    # of length <= 6 find exactly the cosets the table records
+    q = standard_quotient()
+    ctx = ConjContext()
+    xs = enumerate_reduced(6)
+    for u in ("", "a", "b", "c", "d"):
+        for v in ("", "a", "b", "c", "d"):
+            found = 0
+            for x in xs:
+                if equal(reduce_word(inverse(x) + v + x), u):
+                    found |= 1 << q.coset_of(x)
+            assert found == ctx.base_table[(u, v)], (u, v)
+
+
 def test_q_set_of_identity_pair_is_everything():
     assert q_set("", "") == frozenset(range(16))
     assert q_set("", "bcd") == frozenset(range(16))

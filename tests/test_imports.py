@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and
+every private helper the package defines is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,27 @@ def test_no_unused_imports():
                                           "word_problem.py"}
     unused = {p.name: _unused_imports(p.read_text()) for p in _MODULES}
     assert {name: got for name, got in unused.items() if got} == {}
+
+
+def _private_defs(tree) -> dict[str, int]:
+    return {node.name: node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and node.name.startswith("_")
+            and not (node.name.startswith("__") and node.name.endswith("__"))}
+
+
+def _referenced(tree) -> set[str]:
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute)})
+
+
+def test_no_unused_private_helpers():
+    trees = {p.name: ast.parse(p.read_text()) for p in _MODULES}
+    used = set().union(*(_referenced(tree) for tree in trees.values()))
+    assert "_q_rec" in used and "_trivial_reduced" in used
+    unused = [f"{name}: {helper} (line {line})"
+              for name, tree in trees.items()
+              for helper, line in _private_defs(tree).items()
+              if helper not in used]
+    assert unused == []

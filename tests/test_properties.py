@@ -4,12 +4,19 @@ Each fast path is compared with an independent statement of what it
 computes: is_reduced with reduction, split with a factor-by-factor
 substitution and with the tree action, cyclic_normalize with its
 postcondition, and is_trivial with the depth-truncated tree oracle.
+The conjugacy layer is held to what any correct answer satisfies:
+coset_of is a homomorphism that ignores reduction, Q-sets move by the
+conjugator's coset, conjugate words share their abelian image, and
+conjugacy is symmetric.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grigorchuk.conjugacy import are_conjugate, q_set
+from grigorchuk.oracle import abelian_image
+from grigorchuk.quotient import standard_quotient
 from grigorchuk.splitting import split, split_shifted
 from grigorchuk.tree_action import (apply_word, is_trivial_at_depth,
                                     oracle_depth)
@@ -125,3 +132,44 @@ def test_is_trivial_matches_tree_oracle(pieces):
     word = "".join(pieces)
     depth = oracle_depth(max(len(reduce_word(word)), 1))
     assert is_trivial(word) == is_trivial_at_depth(word, depth)
+
+
+@given(st.text(alphabet="abcd", max_size=60),
+       st.text(alphabet="abcd", max_size=60))
+def test_coset_of_is_a_homomorphism_on_unreduced_words(u, v):
+    q = standard_quotient()
+    assert q.coset_of(u) == q.coset_of(reduce_word(u))
+    assert q.coset_of(u + v) == q.mult(q.coset_of(u), q.coset_of(v))
+
+
+@settings(deadline=None)
+@given(reduced_words(max_size=160), reduced_words(max_size=80))
+def test_q_set_moves_by_the_conjugator_coset(u, x):
+    # the x-conjugate of u is conjugated to u by x times a centralizer
+    q = standard_quotient()
+    cx = q.coset_of(x)
+    assert q_set(u, reduce_word(x + u + inverse(x))) == {
+        q.mult(cx, t) for t in q_set(u, u)}
+
+
+def _near_conjugates(words):
+    """(u, w) with w a conjugate of u*p for a short word p, so the
+    pairs are often conjugate and often not."""
+    return st.tuples(words, reduced_words(max_size=80),
+                     st.text(alphabet="abcd", max_size=4)).map(
+        lambda t: (t[0], reduce_word(t[1] + t[0] + t[2] + inverse(t[1]))))
+
+
+@settings(deadline=None)
+@given(_near_conjugates(reduced_words(max_size=160)))
+def test_nonempty_q_set_keeps_the_abelian_image(pair):
+    u, w = pair
+    if q_set(u, w):
+        assert abelian_image(u) == abelian_image(w)
+
+
+@settings(deadline=None)
+@given(_near_conjugates(reduced_words(max_size=160)))
+def test_are_conjugate_is_symmetric(pair):
+    u, w = pair
+    assert are_conjugate(u, w) == are_conjugate(w, u)

@@ -3,12 +3,14 @@
 import random
 from collections import Counter
 
+import pytest
+
 from grigorchuk.quotient import (K_GENERATORS, LiftTable, Quotient,
                                  build_lift_table, build_quotient,
                                  standard_lift_table, standard_quotient)
 from grigorchuk.splitting import split
 from grigorchuk.word_problem import is_trivial
-from grigorchuk.words import (a_parity, enumerate_reduced, inverse,
+from grigorchuk.words import (WordError, a_parity, enumerate_reduced, inverse,
                               random_reduced_word, reduce_word)
 
 
@@ -75,6 +77,11 @@ def test_coset_of_is_a_homomorphism():
         v = random_reduced_word(rng, rng.randrange(0, 12))
         assert q.coset_of(u + v) == q.mult(q.coset_of(u), q.coset_of(v))
         assert q.coset_of(inverse(u)) == q.inv(q.coset_of(u))
+
+
+def test_coset_of_a_foreign_letter_names_letter_and_word():
+    with pytest.raises(WordError, match="'x' in word 'abxa'"):
+        standard_quotient().coset_of("abxa")
 
 
 def test_rep_words_hit_their_own_cosets():
