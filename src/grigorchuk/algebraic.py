@@ -1,19 +1,24 @@
 """Exact arithmetic in Q(alpha), where 2*alpha^3 = alpha^2 + alpha + 1.
 
-alpha is the unique real root of p(x) = 2x^3 - x^2 - x - 1 and lies in
-(1.233751, 1.233752).  Values are stored as c0 + c1*alpha + c2*alpha^2
-with rational coefficients, so equality and order comparisons are exact:
-equality is coefficient-wise (p is irreducible over Q, checked once at
-import), and sign questions are settled by interval bisection.
+alpha is the unique real root of p(x) = 2x^3 - x^2 - x - 1, about
+1.2337519.  A value c0 + c1*alpha + c2*alpha^2 is stored as integers
+(n0, n1, n2) over one integer den > 0, all four coprime, so equal values
+are stored alike.  Arithmetic uses the defining relation only in _shift,
+which maps x to 2*alpha*x.  The product is built on it, and so is the sign:
+det[x | 2*alpha*x | 4*alpha^2*x] is a positive multiple of the field
+norm N(x) = x(alpha) * |x(beta)|^2, beta a complex root of p.  As p is
+irreducible with one real root (both checked at import), x(beta) != 0
+for x != 0, so sign(x) = sign(N(x)).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import total_ordering
+from functools import total_ordering, wraps
+from math import gcd, lcm
 
 
-def _p(t: Fraction) -> Fraction:
+def _p(t):
     return 2 * t * t * t - t * t - t - 1
 
 
@@ -23,152 +28,145 @@ def _check_irreducible() -> None:
     for cand in (Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2)):
         if _p(cand) == 0:
             raise RuntimeError("defining cubic has a rational root")
+    # sign() needs the other two roots non-real: a negative discriminant
+    a, b, c, d = 2, -1, -1, -1
+    if 18*a*b*c*d - 4*b**3*d + (b*c)**2 - 4*a*c**3 - 27*(a*d)**2 >= 0:
+        raise RuntimeError("defining cubic has three real roots")
 
 
 _check_irreducible()
 
-# Bracketing interval for alpha; p is increasing on it.
-_ALPHA_LO = Fraction(1233751, 1000000)
-_ALPHA_HI = Fraction(1233752, 1000000)
-assert _p(_ALPHA_LO) < 0 < _p(_ALPHA_HI)
+
+def _shift(n0, n1, n2):
+    """The integers of 2*alpha*x from those of x, by the defining
+    relation 2*alpha^3 = 1 + alpha + alpha^2."""
+    return n2, 2 * n0 + n2, 2 * n1 + n2
+
+
+def _value(n0, n1, n2, den):
+    """The value (n0 + n1*alpha + n2*alpha^2) / den, for den > 0."""
+    g = gcd(n0, n1, n2, den)
+    x = object.__new__(AlgebraicValue)
+    x._ints = (n0 // g, n1 // g, n2 // g, den // g)
+    return x
+
+
+def _coerced(op):
+    """The method op(self, other) with an int or Fraction other made an
+    AlgebraicValue first, and NotImplemented for other types."""
+    @wraps(op)
+    def method(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = AlgebraicValue(other)
+        elif not isinstance(other, AlgebraicValue):
+            return NotImplemented
+        return op(self, other)
+    return method
 
 
 @total_ordering
 class AlgebraicValue:
     """An element c0 + c1*alpha + c2*alpha^2 of Q(alpha)."""
 
-    __slots__ = ("c0", "c1", "c2")
+    __slots__ = ("_ints",)
 
     def __init__(self, c0=0, c1=0, c2=0):
-        self.c0 = Fraction(c0)
-        self.c1 = Fraction(c1)
-        self.c2 = Fraction(c2)
+        for c in (c0, c1, c2):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or Fraction")
+        # each c is in lowest terms, so the four integers are coprime
+        den = lcm(c0.denominator, c1.denominator, c2.denominator)
+        self._ints = tuple(c.numerator * (den // c.denominator)
+                           for c in (c0, c1, c2)) + (den,)
 
     @classmethod
     def from_int(cls, n: int) -> "AlgebraicValue":
         return cls(n, 0, 0)
 
     def coefficients(self):
-        return (self.c0, self.c1, self.c2)
+        n0, n1, n2, den = self._ints
+        return Fraction(n0, den), Fraction(n1, den), Fraction(n2, den)
+
+    c0 = property(lambda self: self.coefficients()[0])
+    c1 = property(lambda self: self.coefficients()[1])
+    c2 = property(lambda self: self.coefficients()[2])
 
     def __repr__(self):
-        return f"AlgebraicValue({self.c0!r}, {self.c1!r}, {self.c2!r})"
+        return "AlgebraicValue({!r}, {!r}, {!r})".format(*self.coefficients())
 
     def __str__(self):
-        return f"{self.c0} + {self.c1}α + {self.c2}α²"
+        return "{} + {}α + {}α²".format(*self.coefficients())
 
     def __hash__(self):
+        n0, n1, n2, den = self._ints
         # a rational value equals its Fraction or int, so it hashes alike
-        if self.c1 == 0 and self.c2 == 0:
-            return hash(self.c0)
-        return hash((self.c0, self.c1, self.c2))
+        return hash(self._ints if n1 or n2 else Fraction(n0, den))
 
+    @_coerced
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgebraicValue(self.c0 + other.c0, self.c1 + other.c1,
-                              self.c2 + other.c2)
+        a0, a1, a2, da = self._ints
+        b0, b1, b2, db = other._ints
+        return _value(a0 * db + b0 * da, a1 * db + b1 * da,
+                      a2 * db + b2 * da, da * db)
 
     __radd__ = __add__
 
+    @_coerced
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return AlgebraicValue(self.c0 - other.c0, self.c1 - other.c1,
-                              self.c2 - other.c2)
+        return self + -other
 
+    @_coerced
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return other - self
 
     def __neg__(self):
-        return AlgebraicValue(-self.c0, -self.c1, -self.c2)
+        n0, n1, n2, den = self._ints
+        return _value(-n0, -n1, -n2, den)
 
+    @_coerced
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = other.c0, other.c1, other.c2
-        # Convolution, then rewrite alpha^3 = (1 + alpha + alpha^2)/2 and
-        # alpha^4 = alpha * alpha^3.
-        d0, d1, d2 = a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0
-        d3, d4 = a1 * b2 + a2 * b1, a2 * b2
-        half = Fraction(1, 2)
-        # alpha^4 = (alpha + alpha^2 + alpha^3)/2 = (1/4) + (3/4)alpha + (3/4)alpha^2
-        d0 += d3 * half + d4 * Fraction(1, 4)
-        d1 += d3 * half + d4 * Fraction(3, 4)
-        d2 += d3 * half + d4 * Fraction(3, 4)
-        return AlgebraicValue(d0, d1, d2)
+        a0, a1, a2, da = self._ints
+        b0, b1, b2, db = other._ints
+        s0, s1, s2 = _shift(b0, b1, b2)
+        t0, t1, t2 = _shift(s0, s1, s2)
+        # 4ab = 4*a0*b + 2*a1*(2*alpha*b) + a2*(4*alpha^2*b)
+        return _value(4 * a0 * b0 + 2 * a1 * s0 + a2 * t0,
+                      4 * a0 * b1 + 2 * a1 * s1 + a2 * t1,
+                      4 * a0 * b2 + 2 * a1 * s2 + a2 * t2, 4 * da * db)
 
     __rmul__ = __mul__
 
+    @_coerced
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return (self.c0 == other.c0 and self.c1 == other.c1
-                and self.c2 == other.c2)
+        return self._ints == other._ints
 
+    @_coerced
     def __lt__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
         return (self - other).sign() < 0
 
     def sign(self) -> int:
-        """Exact sign of the real number this value denotes."""
-        if self.c0 == 0 and self.c1 == 0 and self.c2 == 0:
-            return 0
-        lo, hi = _ALPHA_LO, _ALPHA_HI
-        while True:
-            vlo, vhi = self._interval(lo, hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            mid = (lo + hi) / 2
-            # p is increasing here, so p(mid) < 0 puts alpha above mid.
-            if _p(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-
-    def _interval(self, lo: Fraction, hi: Fraction):
-        # Interval extension of c0 + c1*t + c2*t^2 for t in [lo, hi],
-        # 0 < lo <= hi, term by term.
-        vlo = vhi = self.c0
-        for c, tlo, thi in ((self.c1, lo, hi), (self.c2, lo * lo, hi * hi)):
-            if c >= 0:
-                vlo += c * tlo
-                vhi += c * thi
-            else:
-                vlo += c * thi
-                vhi += c * tlo
-        return vlo, vhi
+        """Exact sign of the real number this value denotes: the sign of
+        det[x | 2*alpha*x | 4*alpha^2*x], a positive multiple of the
+        field norm (see the module docstring)."""
+        x0, x1, x2, _ = self._ints
+        y0, y1, y2 = _shift(x0, x1, x2)
+        z0, z1, z2 = _shift(y0, y1, y2)
+        det = (x0 * (y1 * z2 - y2 * z1) - y0 * (x1 * z2 - x2 * z1)
+               + z0 * (x1 * y2 - x2 * y1))
+        return (det > 0) - (det < 0)
 
     def __float__(self):
+        # coefficient by coefficient: the integers alone can overflow a float
+        c0, c1, c2 = self.coefficients()
         a = _ALPHA_FLOAT
-        return float(self.c0) + float(self.c1) * a + float(self.c2) * a * a
-
-
-def _coerce(value):
-    if isinstance(value, AlgebraicValue):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return AlgebraicValue(value, 0, 0)
-    return None
+        return float(c0) + float(c1) * a + float(c2) * a * a
 
 
 def _alpha_float() -> float:
-    lo, hi = float(_ALPHA_LO), float(_ALPHA_HI)
+    lo, hi = 1.0, 2.0
     for _ in range(60):
         mid = (lo + hi) / 2
-        if 2 * mid**3 - mid**2 - mid - 1 < 0:
+        if _p(mid) < 0:
             lo = mid
         else:
             hi = mid

@@ -30,6 +30,18 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(1)
 
 
+def _int_above(low: int):
+    """An argparse type: an int greater than low."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value <= low:
+            raise argparse.ArgumentTypeError(
+                f"must be greater than {low}, got {value}")
+        return value
+    parse.__name__ = "int"    # argparse names it in "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="grig", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -68,8 +80,9 @@ def _build_parser() -> _Parser:
     sub.add_parser("selftest", help="run the built-in consistency checks")
 
     p = sub.add_parser("bench", help="scaling benchmark")
-    p.add_argument("--max-len", type=int, default=1024)
-    p.add_argument("--samples", type=int, default=3)
+    # lengths run 16, 32, ... up to max_len: a slope needs two of them
+    p.add_argument("--max-len", type=_int_above(16), default=1024)
+    p.add_argument("--samples", type=_int_above(0), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", metavar="PATH", help="write per-sample records")
 

@@ -134,16 +134,19 @@ class Quotient:
         self.rep_words = rep_words
         self.parity = parity
         self.size = len(table)
+        # per coset, the coset each letter leads to
+        self._rows = tuple(dict(zip(LETTERS, row)) for row in table)
         self._inv = [next(j for j in range(self.size)
                           if self.mult(i, j) == 0)
                      for i in range(self.size)]
 
     def coset_of(self, word: str) -> int:
+        rows = self._rows
         c = 0
         try:
             for ch in word:
-                c = self.table[c][LETTERS.index(ch)]
-        except ValueError:
+                c = rows[c][ch]
+        except KeyError:
             raise WordError(
                 f"invalid letter {ch!r} in word {word!r}") from None
         return c
@@ -151,7 +154,7 @@ class Quotient:
     def mult(self, i: int, j: int) -> int:
         c = i
         for ch in self.rep_words[j]:
-            c = self.table[c][LETTERS.index(ch)]
+            c = self._rows[c][ch]
         return c
 
     def inv(self, i: int) -> int:

@@ -115,6 +115,18 @@ def test_bench_small(capsys, tmp_path):
     assert len(lines) > 4
 
 
+@pytest.mark.parametrize("argv", [
+    ("--samples", "0"), ("--max-len", "0"), ("--max-len", "-5"),
+    ("--max-len", "8"), ("--max-len", "16")])
+def test_bench_rejects_degenerate_arguments(capsys, argv):
+    # no samples or fewer than two lengths leave no slope to fit
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", *argv])
+    err = capsys.readouterr().err
+    assert exc.value.code == 1
+    assert f"argument {argv[0]}: must be greater than" in err
+
+
 def test_bad_letter_exit_code(capsys):
     code, _, err = run(capsys, "wp", "ax")
     assert code == 2
