@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conjugacy import ConjContext
-from .quotient import standard_lift_table, standard_quotient
 from .words import random_reduced_word
 
 
@@ -41,14 +40,12 @@ def geometric_lengths(max_len: int, start: int = 16) -> list[int]:
 def run_bench(max_len: int = 1024, samples: int = 3,
               seed: int = 0) -> list[BenchRecord]:
     rng = random.Random(seed)
-    quotient = standard_quotient()
-    lifts = standard_lift_table()
     records = []
     for n in geometric_lengths(max_len):
         for _ in range(samples):
             u = random_reduced_word(rng, n)
             v = random_reduced_word(rng, n)
-            ctx = ConjContext(quotient, lifts)
+            ctx = ConjContext()
             t0 = time.perf_counter()
             ctx.q_mask(u, v)
             millis = (time.perf_counter() - t0) * 1000.0

@@ -35,11 +35,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 
-from .quotient import LiftTable, Quotient, standard_lift_table, standard_quotient
+from .algebraic import GAMMA_A, GAMMA_D
+from .quotient import standard_lift_table, standard_quotient
 from .splitting import split, split_shifted
 from .word_problem import tree_to_dot
-from .words import (a_parity, display, enumerate_reduced, norm, reduce_word)
+from .words import (a_parity, display, enumerate_reduced, join_reduced, norm,
+                    reduce_word)
 
 _FULL = (1 << 16) - 1
 
@@ -52,14 +55,12 @@ class ConjContext:
     """Shared state: quotient, lift table, base table, interned words
     and the memoized Q computation."""
 
-    def __init__(self, quotient: Quotient | None = None,
-                 lifts: LiftTable | None = None):
-        self.q = quotient or standard_quotient()
-        self.lifts = lifts or standard_lift_table()
+    def __init__(self):
+        self.q = standard_quotient()
         self._img_a = self.q.coset_of("a")
-        l = self.lifts
+        lifts = standard_lift_table()
         self._lift_rows = tuple(
-            tuple(l.lift(i, j) for j in range(16)) for i in range(16))
+            tuple(lifts.lift(i, j) for j in range(16)) for i in range(16))
         # rows translating a lifted coset by the image of a (or not)
         self._trans_rows = (tuple(range(16)),
                             tuple(self.q.mult(t, self._img_a)
@@ -111,8 +112,8 @@ class ConjContext:
                 w0, w1 = split_shifted(w)
                 self._sec_cosets[wid] = (self.q.coset_of(w0),
                                          self.q.coset_of(w1))
-                ch = (self.intern(reduce_word(w0 + w1)),
-                      self.intern(reduce_word(w1 + w0)))
+                ch = (self.intern(join_reduced(w0, w1)),
+                      self.intern(join_reduced(w1, w0)))
             self._children[wid] = ch
         return ch
 
@@ -212,9 +213,8 @@ class ConjContext:
     # -- the memoized recursion ----------------------------------------
 
     def q_mask(self, u: str, v: str) -> int:
-        u = reduce_word(u)
-        v = reduce_word(v)
-        return self._q_rec(self.intern(u), self.intern(v), set())
+        return self._q_rec(self.intern(reduce_word(u)),
+                           self.intern(reduce_word(v)), set())
 
     def _branch(self, iu: int, iv: int) -> tuple[str, tuple]:
         """Node kind of a pair in the decision and its child pairs: an
@@ -388,8 +388,9 @@ def explicit_tree_size(u: str, v: str) -> int:
 
 @lru_cache(maxsize=None)
 def word_tree_size(word: str) -> int:
-    """Size of the halving tree under a single word: leaves are words of
-    length <= 1, inner nodes carry the two per-coordinate children."""
+    """Size of the halving tree under a word, reduced first: leaves are
+    words of length <= 1, inner nodes carry the two children."""
+    word = reduce_word(word)
     if len(word) <= 1:
         return 1
     c0, c1 = word_children(word)
@@ -403,16 +404,13 @@ def word_children(word: str) -> tuple[str, str]:
     return ctx._words[c0], ctx._words[c1]
 
 
-def subtree_size_census(norm_bound: int = 9, max_len: int = 12):
+def subtree_size_census(norm_bound: int = 9):
     """All reduced words of length >= 2 whose norm is strictly below the
     bound, with their two children and halving-tree size."""
-    from .algebraic import GAMMA_A, GAMMA_D
-
     rows = []
-    for n in range(2, max_len + 1):
-        # a reduced word of length n has n//2 or (n+1)//2 letters 'a';
-        # the cheapest word takes the fewer 'a's and all-'d' stars, so
-        # whole lengths can be skipped exactly
+    for n in count(2):
+        # the cheapest reduced word of length n has n//2 letters 'a' and
+        # all stars 'd'; once it reaches the bound, so do longer words
         least = (n // 2) * GAMMA_A + (n - n // 2) * GAMMA_D
         if (least - norm_bound).sign() >= 0:
             break

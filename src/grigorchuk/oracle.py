@@ -15,32 +15,33 @@ import json
 
 from .conjugacy import are_conjugate
 from .word_problem import equal
-from .words import enumerate_reduced, inverse, reduce_word
+from .words import (LETTERS, enumerate_reduced, inverse, join_reduced,
+                    letter_counts, reduce_word)
 
 
 def abelian_image(word: str) -> tuple[int, int, int]:
     """Exponent triple (e_a, e_b, e_c) mod 2 in the abelianization."""
-    na, nb, nc, nd = (word.count(x) for x in "abcd")
+    na, nb, nc, nd = letter_counts(word)
     return (na % 2, (nb + nd) % 2, (nc + nd) % 2)
 
 
 def find_conjugator(u: str, v: str, max_len: int = 16):
     """Shortest reduced x with u = x^-1 v x, or None if none exists with
     length <= max_len.  Pure search; decided by the word problem only."""
-    u = reduce_word(u)
-    v = reduce_word(v)
     for x in enumerate_reduced(max_len):
-        if equal(reduce_word(inverse(x) + v + x), u):
+        if equal(inverse(x) + v + x, u):
             return x
     return None
 
 
 def conjugate_closure(v: str, max_len: int):
-    """All reduced forms of x^-1 v x over reduced x with |x| <= max_len."""
-    v = reduce_word(v)
-    seen = set()
-    for x in enumerate_reduced(max_len):
-        seen.add(reduce_word(inverse(x) + v + x))
+    """All reduced forms of x^-1 v x over reduced x with |x| <= max_len,
+    breadth first: the conjugate by x' l is l (x'^-1 v x') l."""
+    seen = level = {reduce_word(v)}
+    for _ in range(max_len):
+        level = {join_reduced(join_reduced(l, w), l)
+                 for w in level for l in LETTERS} - seen
+        seen |= level
     return seen
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .words import a_parity, is_reduced, reduce_word
+from .words import a_parity, is_reduced, join_reduced, reduce_word
 
 # Section letters of each factor as translation tables: a lower-case
 # star stands for a single-letter factor u, an upper-case one for a
@@ -81,5 +81,4 @@ def split(word: str) -> SplitPair:
 def split_shifted(word: str) -> SplitPair:
     """Sections of word*a for a reduced word of odd a-parity."""
     _check(word, 1)
-    # a reduced word times 'a' is reduced, or drops its final 'a'
-    return split(word[:-1] if word.endswith("a") else word + "a")
+    return split(join_reduced(word, "a"))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .words import LETTERS, WordError
+from .words import LETTERS, check_letters
 
 # section pairs of the level-one stabilizing generators
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
@@ -43,9 +43,8 @@ def apply_word(word: str, vertex: str) -> str:
     for ch in vertex:
         if ch not in "01":
             raise ValueError(f"invalid vertex bit {ch!r}")
+    check_letters(word)
     for letter in reversed(word):
-        if letter not in LETTERS:
-            raise WordError(f"invalid letter {letter!r}")
         vertex = apply_letter(letter, vertex)
     return vertex
 
@@ -82,9 +81,7 @@ def is_trivial_at_depth(word: str, depth: int) -> bool:
     every shallower vertex too)."""
     if depth <= 0:
         raise ValueError("depth must be positive")
-    for letter in word:
-        if letter not in LETTERS:
-            raise WordError(f"invalid letter {letter!r}")
+    check_letters(word)
     for level in range(1, depth + 1):
         if not _identity_at_level(word, level):
             return False

@@ -3,28 +3,27 @@
 The four letters are involutions and b, c, d commute with each other,
 with the product of any two distinct ones equal to the third.  Rewriting
 with xx -> empty and rs -> t (r, s, t distinct among b, c, d) is
-confluent, and a reduced word strictly alternates 'a' with letters from
-{b, c, d}.  That alternation is how is_reduced tests a word: one of its
-two interleaved letter slices must be all 'a' and the other all stars,
-so no rewriting runs on words that are already reduced.  The empty word
-is displayed as "1".
+confluent, and a reduced word strictly alternates 'a' with the stars
+b, c, d.  is_reduced tests that alternation on the two interleaved
+letter slices, and reduce_word returns a word that passes it as it is.
+In a product of two reduced words only the seam can rewrite:
+join_reduced cancels equal letters across it and merges at most one
+pair of stars.  The empty word is displayed as "1".
 """
 
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 from .algebraic import GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D, AlgebraicValue
 
 LETTERS = "abcd"
 STARS = "bcd"
 
-# rs -> t for distinct r, s in {b, c, d}
-_MERGE = {
-    ("b", "c"): "d", ("c", "b"): "d",
-    ("b", "d"): "c", ("d", "b"): "c",
-    ("c", "d"): "b", ("d", "c"): "b",
-}
+# rs -> t for distinct r, s, t in {b, c, d}
+_MERGE = {(r, s): t for r, s, t in permutations(STARS)}
+_DROP_LETTERS = str.maketrans("", "", LETTERS)
 
 
 class WordError(ValueError):
@@ -36,10 +35,15 @@ def parse_word(text: str) -> str:
     text must use only the letters a, b, c, d."""
     if text == "1" or text == "":
         return ""
-    for ch in text:
-        if ch not in LETTERS:
-            raise WordError(f"invalid letter {ch!r} in word {text!r}")
+    check_letters(text)
     return text
+
+
+def check_letters(word: str) -> None:
+    """Raise WordError if the word has a letter outside a-d."""
+    foreign = word.translate(_DROP_LETTERS)
+    if foreign:
+        raise WordError(f"invalid letter {foreign[0]!r} in word {word!r}")
 
 
 def display(word: str) -> str:
@@ -47,11 +51,12 @@ def display(word: str) -> str:
 
 
 def reduce_word(word: str) -> str:
-    """Canonical reduced form, via a single left-to-right stack pass."""
+    """Canonical reduced form.  A reduced word is returned as it is;
+    any other word takes a single left-to-right stack pass."""
+    if is_reduced(word):
+        return word
     out: list[str] = []
     for ch in word:
-        if ch not in LETTERS:
-            raise WordError(f"invalid letter {ch!r}")
         while True:
             if not out:
                 out.append(ch)
@@ -71,13 +76,28 @@ def reduce_word(word: str) -> str:
 
 
 def is_reduced(word: str) -> bool:
+    """Whether the word alternates 'a' with stars; raises WordError on
+    a letter outside a-d."""
     even, odd = word[0::2], word[1::2]
     if not (even.strip("a") or odd.strip(STARS)):
         return True
     if not (odd.strip("a") or even.strip(STARS)):
         return True
-    # not alternating: reduce, which also rejects foreign letters
-    return reduce_word(word) == word
+    check_letters(word)
+    return False
+
+
+def join_reduced(u: str, v: str) -> str:
+    """Reduced form of u + v for reduced words u and v.  Only the seam
+    can rewrite: equal letters cancel across it, then two different
+    stars that meet there merge into the third, which sits between two
+    'a' (or at an end) and stops the rewriting."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == v[k]:
+        k += 1
+    u, v = u[:len(u) - k], v[k:]
+    merged = _MERGE.get((u[-1:], v[:1]))
+    return u + v if merged is None else u[:-1] + merged + v[1:]
 
 
 def inverse(word: str) -> str:
@@ -92,9 +112,13 @@ def a_parity(word: str) -> int:
 
 
 def letter_counts(word: str):
-    """Counts (n_a, n_b, n_c, n_d) of each letter."""
-    return (word.count("a"), word.count("b"), word.count("c"),
-            word.count("d"))
+    """Counts (n_a, n_b, n_c, n_d) of each letter; raises WordError on
+    a letter outside a-d."""
+    counts = (word.count("a"), word.count("b"), word.count("c"),
+              word.count("d"))
+    if sum(counts) != len(word):
+        check_letters(word)
+    return counts
 
 
 def norm(word: str) -> AlgebraicValue:
@@ -118,12 +142,10 @@ def cyclic_normalize(word: str):
     with 'a' and does not end with 'a'; rotation can shorten the word,
     never lengthen it.
 
-    A rotation step moves the leading star, or the leading "a" and the
-    star after it when the word both begins and ends with 'a', to the
-    end.  In a reduced word that star meets the last star: equal stars
-    cancel and the scan goes on between two indices; different stars
-    merge into the third and the scan stops.  So the work is linear in
-    the length of the word.
+    The word is g m inverse(g) for the longest g that leaves m a letter
+    or a word with different end letters.  If m begins with a star s,
+    one rotation by s more gives join_reduced(m[1:], s), which begins
+    with 'a' and ends with a star.
     """
     if not is_reduced(word):
         raise ValueError("word must be reduced")
@@ -131,28 +153,13 @@ def cyclic_normalize(word: str):
         raise ValueError("word must have even a-parity")
     if not word:
         raise ValueError("word must be nonempty")
-    # the current word is word[i:j]; what has been rotated is word[:i]
-    i, j = 0, len(word)
-    while j - i > 1:
-        s = word[i]
-        if s == "a":
-            if word[j - 1] != "a":
-                break
-            # a s ... t a: the two 'a' cancel and s meets t
-            s = word[i + 1]
-            if j - i == 3:
-                return s, word[:i + 2]
-            i += 2
-            j -= 1
-        elif word[j - 1] == "a":
-            return word[i + 1:j] + s, word[:i + 1]
-        else:
-            i += 1
-        # the current word is word[i:j] + s and word[j - 1] is a star
-        if s != word[j - 1]:
-            return word[i:j - 1] + _MERGE[(word[j - 1], s)], word[:i]
-        j -= 1
-    return word[i:j], word[:i]
+    k, n = 0, len(word)
+    while n - 2 * k > 1 and word[k] == word[n - 1 - k]:
+        k += 1
+    m = word[k:n - k]
+    if len(m) > 1 and m[0] != "a":
+        return join_reduced(m[1:], m[0]), word[:k + 1]
+    return m, word[:k]
 
 
 def enumerate_reduced(max_len: int, min_len: int = 0):

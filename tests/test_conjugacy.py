@@ -13,8 +13,8 @@ from grigorchuk.conjugacy import (ConjContext, are_conjugate, build_conj_tree,
 from grigorchuk.quotient import standard_quotient
 from grigorchuk.splitting import split, split_shifted
 from grigorchuk.word_problem import equal, is_trivial
-from grigorchuk.words import (a_parity, enumerate_reduced, inverse, norm,
-                              random_reduced_word, reduce_word)
+from grigorchuk.words import (WordError, a_parity, enumerate_reduced, inverse,
+                              norm, random_reduced_word, reduce_word)
 
 
 def test_base_table_cardinalities():
@@ -233,6 +233,13 @@ def test_word_tree_size_definition():
         assert word_tree_size(w) == size(w)
 
 
+def test_word_tree_size_sizes_the_reduced_word():
+    assert word_tree_size("aa") == word_tree_size("bcd") == 1
+    assert word_tree_size("abba" + "abab") == word_tree_size("abab")
+    with pytest.raises(WordError):
+        word_tree_size("x")
+
+
 def test_census_has_95_rows_and_max_21():
     rows = subtree_size_census()
     assert len(rows) == 95
@@ -312,3 +319,23 @@ def test_intern_of_a_foreign_letter_records_nothing():
         with pytest.raises(ValueError):
             ctx.intern("ax")
         assert [len(column) for column in columns] == [before] * 7
+
+
+def test_conjugate_pairs_visit_linearly_many_pairs(reduced_letters):
+    # (u, x^-1 u x) with |u| = |x| = n/2, a fresh context per pair.
+    # Measured per 4x step in n: visited pairs grow 1.4-2.8x and letters
+    # passed to reduce_word 3.6-4.2x (ten seeds); linear work gives 4x,
+    # quadratic work 16x.
+    rng = random.Random(0)
+    counts = []
+    for n in (2 ** 10, 2 ** 12, 2 ** 14):
+        u = random_reduced_word(rng, n // 2)
+        x = random_reduced_word(rng, n // 2)
+        v = reduce_word(inverse(x) + u + x)
+        ctx = ConjContext()
+        reduced_letters[0] = 0
+        assert ctx.q_mask(u, v)
+        counts.append((ctx.visited_pairs, reduced_letters[0]))
+        assert counts[-1][1] >= n
+    for (pairs, letters), (pairs4, letters4) in zip(counts, counts[1:]):
+        assert pairs4 <= 4 * pairs and letters4 <= 6 * letters, counts

@@ -1,5 +1,6 @@
-"""Every name a package module imports is used in that module, and
-every private helper the package defines is used somewhere in it."""
+"""Every name a package module imports is used in that module, every
+private helper the package defines is used somewhere in it, and no
+concatenation is reduced from scratch."""
 
 import ast
 from pathlib import Path
@@ -55,3 +56,21 @@ def test_no_unused_private_helpers():
               for helper, line in _private_defs(tree).items()
               if helper not in used]
     assert unused == []
+
+
+def _concatenations_reduced(tree) -> list[int]:
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "reduce_word"
+            and any(isinstance(arg, ast.BinOp) and isinstance(arg.op, ast.Add)
+                    for arg in node.args)]
+
+
+def test_no_reduction_of_a_concatenation():
+    # the reduced product of reduced words is join_reduced, which only
+    # rewrites at the seam
+    assert _concatenations_reduced(ast.parse("reduce_word(u + v)")) == [1]
+    found = {p.name: _concatenations_reduced(ast.parse(p.read_text()))
+             for p in _MODULES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

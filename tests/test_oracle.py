@@ -3,12 +3,15 @@
 import json
 import random
 
+import pytest
+
 from grigorchuk.conjugacy import are_conjugate
 from grigorchuk.oracle import (abelian_image, conjugate_closure,
                                find_conjugator, render_report,
                                report_to_json, validate_small_instances)
 from grigorchuk.word_problem import equal
-from grigorchuk.words import inverse, random_reduced_word, reduce_word
+from grigorchuk.words import (WordError, inverse, random_reduced_word,
+                              reduce_word)
 
 
 def test_abelian_image_of_generators():
@@ -18,6 +21,12 @@ def test_abelian_image_of_generators():
     assert abelian_image("c") == (0, 0, 1)
     assert abelian_image("d") == (0, 1, 1)   # d = bc in the abelianization
     assert abelian_image("bc") == abelian_image("d")
+
+
+def test_abelian_image_rejects_foreign_letters():
+    for word in ("abx", "1"):
+        with pytest.raises(WordError):
+            abelian_image(word)
 
 
 def test_abelian_image_is_a_homomorphism():

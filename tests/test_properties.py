@@ -22,7 +22,7 @@ from grigorchuk.tree_action import (apply_word, is_trivial_at_depth,
                                     oracle_depth)
 from grigorchuk.word_problem import is_trivial
 from grigorchuk.words import (STARS, WordError, a_parity, cyclic_normalize,
-                              inverse, is_reduced, reduce_word)
+                              inverse, is_reduced, join_reduced, reduce_word)
 
 # section letters of a single star; a triple "a u a" swaps them
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
@@ -70,6 +70,27 @@ def test_is_reduced_agrees_with_reduction(word):
             is_reduced(word)
     else:
         assert is_reduced(word) == (reduce_word(word) == word)
+
+
+@given(reduced_words(), reduced_words())
+def test_join_reduced_matches_reduction(u, v):
+    assert join_reduced(u, v) == reduce_word(u + v)
+    assert join_reduced(u, "") == join_reduced("", u) == u
+
+
+@given(reduced_words(max_size=400).filter(lambda w: w.strip("a")),
+       st.data())
+def test_join_reduced_cancels_to_the_seam(u, data):
+    # v = inverse(u) cancels completely; changing one of its stars
+    # stops the cancellation there, with one merge of two stars
+    v = inverse(u)
+    assert join_reduced(u, v) == join_reduced(v, u) == ""
+    i = data.draw(st.sampled_from([i for i, ch in enumerate(v) if ch != "a"]))
+    s = data.draw(st.sampled_from(STARS.replace(v[i], "")))
+    v = v[:i] + s + v[i + 1:]
+    assert join_reduced(u, v) == reduce_word(u + v)
+    assert join_reduced(v, u) == reduce_word(v + u)
+    assert len(join_reduced(u, v)) == 2 * (len(v) - i) - 1
 
 
 @given(st.text(alphabet="abcd", max_size=30))

@@ -4,7 +4,6 @@ import json
 import math
 import random
 import re
-import sys
 
 import pytest
 
@@ -178,22 +177,12 @@ def test_tree_follows_the_decision_depth_first():
 
 @pytest.mark.parametrize("relator, trivial", [("abab", False),
                                               ("ad" * 4, True)])
-def test_conjugated_words_reduce_n_log_n_letters(monkeypatch, relator,
+def test_conjugated_words_reduce_n_log_n_letters(reduced_letters, relator,
                                                  trivial):
-    # Letters passed to reduce_word, counted at every binding of it in
-    # the package, while deciding x^-1 r x.  n log n work grows about
-    # 4.7x per 4x step in |x|; rotating by re-reducing the whole word
-    # grows about 16x.
-    letters = [0]
-
-    def counting(word):
-        letters[0] += len(word)
-        return reduce_word(word)
-
-    for name, module in list(sys.modules.items()):
-        if name.partition(".")[0] == "grigorchuk":
-            if getattr(module, "reduce_word", None) is reduce_word:
-                monkeypatch.setattr(module, "reduce_word", counting)
+    # Letters passed to reduce_word while deciding x^-1 r x.  n log n
+    # work grows about 4.7x per 4x step in |x|; rotating by re-reducing
+    # the whole word grows about 16x.
+    letters = reduced_letters
     rng = random.Random(0)
     counts = []
     for n in (2 ** 10, 2 ** 12, 2 ** 14):

@@ -41,6 +41,13 @@ def test_reduce_examples():
     assert reduce_word("abdca") == ""   # bd -> c, cc cancels, aa cancels
 
 
+def test_is_reduced_rejects_foreign_letters():
+    # "1" is the identity only to parse_word, not a letter
+    for word in ("1", "x", "ax", "abxa"):
+        with pytest.raises(WordError):
+            is_reduced(word)
+
+
 def test_reduced_words_alternate():
     rng = random.Random(0)
     for _ in range(500):
@@ -106,6 +113,16 @@ def test_norm_exact():
     assert compare_norm("c", "a") == -1
     assert compare_norm("a", "b") == -1
     assert compare_norm("b", "cd") == 0
+
+
+def test_counts_and_norms_reject_foreign_letters():
+    for word in ("abx", "1", "x" * 4):
+        with pytest.raises(WordError):
+            letter_counts(word)
+        with pytest.raises(WordError):
+            norm(word)
+        with pytest.raises(WordError):
+            compare_norm("ab", word)
 
 
 def test_reduction_never_increases_norm():
