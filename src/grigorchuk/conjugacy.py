@@ -41,8 +41,8 @@ from .algebraic import GAMMA_A, GAMMA_D
 from .quotient import standard_lift_table, standard_quotient
 from .splitting import split, split_shifted
 from .word_problem import tree_to_dot
-from .words import (a_parity, display, enumerate_reduced, join_reduced, norm,
-                    reduce_word)
+from .words import (a_parity, check_letters, display, enumerate_reduced,
+                    join_reduced, norm, reduce_word)
 
 _FULL = (1 << 16) - 1
 
@@ -70,12 +70,11 @@ class ConjContext:
         self._inv_row = tuple(self.q.inv(i) for i in range(16))
         self._s_cache: dict[tuple[int, int, bool], int] = {}
         self._n_cache: dict[tuple[int, int, int, bool], int] = {}
-        # interned words: id -> (word, parity, coset, len<=1,
-        #                        child ids, section cosets)
+        # interned words: id -> (word, parity, len<=1, child ids,
+        #                        section cosets)
         self._ids: dict[str, int] = {}
         self._words: list[str] = []
         self._parity: list[int] = []
-        self._coset: list[int] = []
         self._base: list[bool] = []
         self._children: list[tuple[int, int] | None] = []
         self._sec_cosets: list[tuple[int, int] | None] = []
@@ -87,13 +86,12 @@ class ConjContext:
     def intern(self, word: str) -> int:
         wid = self._ids.get(word)
         if wid is None:
-            # coset_of raises on a foreign letter: nothing is recorded yet
-            coset = self.q.coset_of(word)
+            # a foreign letter raises before anything is recorded
+            check_letters(word)
             wid = len(self._words)
             self._ids[word] = wid
             self._words.append(word)
             self._parity.append(a_parity(word))
-            self._coset.append(coset)
             self._base.append(len(word) <= 1)
             self._children.append(None)
             self._sec_cosets.append(None)

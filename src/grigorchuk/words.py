@@ -6,23 +6,37 @@ with xx -> empty and rs -> t (r, s, t distinct among b, c, d) is
 confluent, and a reduced word strictly alternates 'a' with the stars
 b, c, d.  is_reduced tests that alternation on the two interleaved
 letter slices, and reduce_word returns a word that passes it as it is.
-In a product of two reduced words only the seam can rewrite:
-join_reduced cancels equal letters across it and merges at most one
-pair of stars.  The empty word is displayed as "1".
+Any other word is cut at 'a' into runs of stars; each run is one element
+of the Klein group {1, b, c, d}, coded as two bits so that a product is
+an xor, and one stack step per run cancels the pair of 'a' around every
+run that multiplies out to 1.  In a product of two reduced words only
+the seam can rewrite: join_reduced cancels equal letters across it and
+merges at most one pair of stars.  The empty word is displayed as "1".
 """
 
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import product
 
 from .algebraic import GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D, AlgebraicValue
 
 LETTERS = "abcd"
 STARS = "bcd"
 
-# rs -> t for distinct r, s, t in {b, c, d}
-_MERGE = {(r, s): t for r, s, t in permutations(STARS)}
+
+def _run_code(run: str) -> int:
+    """A run of stars as an element of {1, b, c, d}, coded as two bits
+    so that the product of two elements is their xor: bit 0 is the
+    parity of the b and d letters, bit 1 that of the c and d letters."""
+    d = run.count("d")
+    return (run.count("b") + d) % 2 + (run.count("c") + d) % 2 * 2
+
+
+_STAR_OF_CODE = ("", "b", "c", "d")
+# the code of every run of up to 4 stars, 121 runs
+_RUN_CODE = {run: _run_code(run) for n in range(5)
+             for run in map("".join, product(STARS, repeat=n))}
 _DROP_LETTERS = str.maketrans("", "", LETTERS)
 
 
@@ -52,27 +66,24 @@ def display(word: str) -> str:
 
 def reduce_word(word: str) -> str:
     """Canonical reduced form.  A reduced word is returned as it is;
-    any other word takes a single left-to-right stack pass."""
+    any other word is cut at 'a' into runs of stars and takes one stack
+    step per run: a run that multiplies out to 1 between two 'a' lets
+    them cancel, so the runs on either side merge (t a 1 a r -> t.r)."""
     if is_reduced(word):
         return word
-    out: list[str] = []
-    for ch in word:
-        while True:
-            if not out:
-                out.append(ch)
-                break
-            top = out[-1]
-            if top == ch:
-                out.pop()
-                break
-            merged = _MERGE.get((top, ch))
-            if merged is None:
-                out.append(ch)
-                break
-            # The merged letter may interact with the new top, so loop.
-            out.pop()
-            ch = merged
-    return "".join(out)
+    # stack[i] is the code of a run, with one 'a' between neighbours;
+    # only the first and the top entry can be 1
+    stack: list[int] = []
+    for run in word.split("a"):
+        code = _RUN_CODE.get(run)
+        if code is None:
+            code = _run_code(run)
+        if len(stack) > 1 and not stack[-1]:
+            stack.pop()
+            stack[-1] ^= code
+        else:
+            stack.append(code)
+    return "a".join([_STAR_OF_CODE[code] for code in stack])
 
 
 def is_reduced(word: str) -> bool:
@@ -96,8 +107,10 @@ def join_reduced(u: str, v: str) -> str:
     while k < n and u[-1 - k] == v[k]:
         k += 1
     u, v = u[:len(u) - k], v[k:]
-    merged = _MERGE.get((u[-1:], v[:1]))
-    return u + v if merged is None else u[:-1] + merged + v[1:]
+    left, right = _RUN_CODE.get(u[-1:]), _RUN_CODE.get(v[:1])
+    if left and right:
+        return u[:-1] + _STAR_OF_CODE[left ^ right] + v[1:]
+    return u + v
 
 
 def inverse(word: str) -> str:

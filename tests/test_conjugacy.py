@@ -312,13 +312,13 @@ def test_conjugacy_consistent_with_equality():
 
 def test_intern_of_a_foreign_letter_records_nothing():
     ctx = ConjContext()
-    columns = (ctx._ids, ctx._words, ctx._parity, ctx._coset, ctx._base,
+    columns = (ctx._ids, ctx._words, ctx._parity, ctx._base,
                ctx._children, ctx._sec_cosets)
     before = len(ctx._words)
     for _ in range(2):
         with pytest.raises(ValueError):
             ctx.intern("ax")
-        assert [len(column) for column in columns] == [before] * 7
+        assert [len(column) for column in columns] == [before] * 6
 
 
 def test_conjugate_pairs_visit_linearly_many_pairs(reduced_letters):

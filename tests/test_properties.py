@@ -1,7 +1,8 @@
 """Property tests of the string layer against slower references.
 
 Each fast path is compared with an independent statement of what it
-computes: is_reduced with reduction, split with a factor-by-factor
+computes: reduce_word with a stack pass over letters, is_reduced with
+reduction, join_reduced with reduction, split with a factor-by-factor
 substitution and with the tree action, cyclic_normalize with its
 postcondition, and is_trivial with the depth-truncated tree oracle.
 The conjugacy layer is held to what any correct answer satisfies:
@@ -10,8 +11,10 @@ conjugator's coset, conjugate words share their abelian image, and
 conjugacy is symmetric.
 """
 
+from itertools import permutations, product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grigorchuk.conjugacy import are_conjugate, q_set
@@ -29,6 +32,12 @@ _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 _RELATORS = ("aa", "bcd", "abababab", "adadadad", "adacac" * 4)
 
+# rs -> t for distinct r, s, t in {b, c, d}
+_MERGE = {(r, s): t for r, s, t in permutations(STARS)}
+# every run of at most 4 stars, each between two 'a'
+_SHORT_RUNS = "a".join("".join(run) for n in range(5)
+                       for run in product(STARS, repeat=n))
+
 
 @st.composite
 def reduced_words(draw, max_size=64):
@@ -41,6 +50,17 @@ def reduced_words(draw, max_size=64):
     if not stars:
         return "a" if lead or trail else ""
     return "a" * lead + "a".join(stars) + "a" * trail
+
+
+@st.composite
+def near_inverses(draw, words):
+    """(u, v, i): v is inverse(u) with its star at i changed, so u + v
+    cancels down to that star, which merges with its partner in u."""
+    u = draw(words.filter(lambda w: w.strip("a")))
+    v = inverse(u)
+    i = draw(st.sampled_from([i for i, ch in enumerate(v) if ch != "a"]))
+    s = draw(st.sampled_from(STARS.replace(v[i], "")))
+    return u, v[:i] + s + v[i + 1:], i
 
 
 def even(words):
@@ -63,6 +83,42 @@ def _reference_split(word):
     return reduce_word("".join(part0)), reduce_word("".join(part1))
 
 
+def _reference_reduce(word):
+    """Reduced form by a left-to-right stack pass over letters."""
+    out = []
+    for ch in word:
+        while True:
+            if not out:
+                out.append(ch)
+                break
+            top = out[-1]
+            if top == ch:
+                out.pop()
+                break
+            merged = _MERGE.get((top, ch))
+            if merged is None:
+                out.append(ch)
+                break
+            # the merged letter may interact with the new top, so loop
+            out.pop()
+            ch = merged
+    return "".join(out)
+
+
+@given(st.lists(st.one_of(st.text(alphabet=STARS, min_size=5, max_size=12),
+                          st.text(alphabet="a", min_size=1, max_size=3),
+                          st.text(alphabet="abcd", max_size=8),
+                          near_inverses(reduced_words()).map(
+                              lambda case: case[0] + case[1])),
+                max_size=8).map("".join))
+@example(_SHORT_RUNS)
+def test_reduce_word_matches_letter_stack_reference(word):
+    # pieces: star runs past the 4-letter table, runs of 'a' (also at
+    # either end), short text and words that cancel deeply; the example
+    # holds every run that reduce_word looks up rather than counts
+    assert reduce_word(word) == _reference_reduce(word)
+
+
 @given(st.text(alphabet="abcde", max_size=40))
 def test_is_reduced_agrees_with_reduction(word):
     if "e" in word:
@@ -78,16 +134,12 @@ def test_join_reduced_matches_reduction(u, v):
     assert join_reduced(u, "") == join_reduced("", u) == u
 
 
-@given(reduced_words(max_size=400).filter(lambda w: w.strip("a")),
-       st.data())
-def test_join_reduced_cancels_to_the_seam(u, data):
-    # v = inverse(u) cancels completely; changing one of its stars
-    # stops the cancellation there, with one merge of two stars
-    v = inverse(u)
-    assert join_reduced(u, v) == join_reduced(v, u) == ""
-    i = data.draw(st.sampled_from([i for i, ch in enumerate(v) if ch != "a"]))
-    s = data.draw(st.sampled_from(STARS.replace(v[i], "")))
-    v = v[:i] + s + v[i + 1:]
+@given(near_inverses(reduced_words(max_size=400)))
+def test_join_reduced_cancels_to_the_seam(case):
+    # inverse(u) cancels completely; changing one of its stars stops
+    # the cancellation there, with one merge of two stars
+    u, v, i = case
+    assert join_reduced(u, inverse(u)) == join_reduced(inverse(u), u) == ""
     assert join_reduced(u, v) == reduce_word(u + v)
     assert join_reduced(v, u) == reduce_word(v + u)
     assert len(join_reduced(u, v)) == 2 * (len(v) - i) - 1

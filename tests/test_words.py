@@ -43,9 +43,11 @@ def test_reduce_examples():
 
 def test_is_reduced_rejects_foreign_letters():
     # "1" is the identity only to parse_word, not a letter
-    for word in ("1", "x", "ax", "abxa"):
+    for word in ("1", "x", "ax", "abxa", "bbx", "aax"):
         with pytest.raises(WordError):
             is_reduced(word)
+        with pytest.raises(WordError, match="invalid letter"):
+            reduce_word(word)
 
 
 def test_reduced_words_alternate():
