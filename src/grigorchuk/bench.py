@@ -3,7 +3,7 @@
 Samples random reduced word pairs at geometrically spaced lengths, runs
 the memoized decision on a fresh context per pair (so visited-pair
 counts are not polluted by sharing across samples), and fits log-log
-slopes of tree size and wall time against the length.
+slopes of tree size and wall time against the length (no numpy needed).
 """
 
 from __future__ import annotations
@@ -12,8 +12,8 @@ import io
 import random
 import time
 from dataclasses import dataclass
-
-import numpy as np
+from math import log
+from statistics import linear_regression
 
 from .conjugacy import ConjContext
 from .words import random_reduced_word
@@ -56,10 +56,9 @@ def run_bench(max_len: int = 1024, samples: int = 3,
 
 def fit_exponent(records: list[BenchRecord], attr: str) -> float:
     """Least-squares slope of log(value) against log(n)."""
-    xs = np.log([r.n for r in records])
-    ys = np.log([max(getattr(r, attr), 1e-3) for r in records])
-    slope, _ = np.polyfit(xs, ys, 1)
-    return float(slope)
+    xs = [log(r.n) for r in records]
+    ys = [log(max(getattr(r, attr), 1e-3)) for r in records]
+    return linear_regression(xs, ys).slope
 
 
 def to_csv(records: list[BenchRecord]) -> str:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import count
 
 from .algebraic import GAMMA_A, GAMMA_D
@@ -384,15 +383,20 @@ def explicit_tree_size(u: str, v: str) -> int:
 # -- single-word halving trees -------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def word_tree_size(word: str) -> int:
     """Size of the halving tree under a word, reduced first: leaves are
-    words of length <= 1, inner nodes carry the two children."""
-    word = reduce_word(word)
-    if len(word) <= 1:
-        return 1
-    c0, c1 = word_children(word)
-    return 1 + word_tree_size(c0) + word_tree_size(c1)
+    words of length <= 1, inner nodes carry the two children.  Sized by
+    sharing, with a memo over interned words local to the call."""
+    ctx = shared_context()
+    memo: dict[int, int] = {}
+
+    def size(wid: int) -> int:
+        if wid not in memo:
+            children = () if ctx._base[wid] else ctx._child_ids(wid)
+            memo[wid] = 1 + sum(map(size, children))
+        return memo[wid]
+
+    return size(ctx.intern(reduce_word(word)))
 
 
 def word_children(word: str) -> tuple[str, str]:

@@ -13,12 +13,11 @@ This module never rewrites words; it only evaluates them, which makes
 it an independent check on the algebraic machinery.  Triviality testing
 composes whole-level permutations (one per letter, cached per depth)
 and deepens one level at a time: an automorphism moving a vertex moves
-all its descendants, so early exits are exact.
+all its descendants, so early exits are exact.  The permutations are
+numpy arrays; numpy is imported when the first of them is built.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .words import LETTERS, check_letters
 
@@ -49,15 +48,16 @@ def apply_word(word: str, vertex: str) -> str:
     return vertex
 
 
-# depth -> {letter: permutation of the 2**depth level vertices}
-_perm_cache: dict[int, dict[str, np.ndarray]] = {}
+# depth -> {letter, or "" for the identity: its level permutation}
+_perm_cache: dict[int, dict] = {}
 
 
-def _level_perms(depth: int) -> dict[str, np.ndarray]:
+def _level_perms(depth: int) -> dict:
     perms = _perm_cache.get(depth)
     if perms is None:
+        import numpy as np
         count = 1 << depth
-        perms = {}
+        perms = {"": np.arange(count, dtype=np.int64)}
         for letter in LETTERS:
             images = [
                 int(apply_letter(letter, format(v, f"0{depth}b")), 2)
@@ -70,10 +70,10 @@ def _level_perms(depth: int) -> dict[str, np.ndarray]:
 
 def _identity_at_level(word: str, depth: int) -> bool:
     perms = _level_perms(depth)
-    current = np.arange(1 << depth, dtype=np.int64)
+    current = identity = perms[""]
     for letter in reversed(word):
         current = perms[letter][current]
-    return bool(np.array_equal(current, np.arange(1 << depth)))
+    return bool((current == identity).all())
 
 
 def is_trivial_at_depth(word: str, depth: int) -> bool:

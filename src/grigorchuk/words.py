@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import random
 from itertools import product
+from math import lcm
 
-from .algebraic import GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D, AlgebraicValue
+from .algebraic import (GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D, AlgebraicValue,
+                        _value)
 
 LETTERS = "abcd"
 STARS = "bcd"
@@ -38,6 +40,10 @@ _STAR_OF_CODE = ("", "b", "c", "d")
 _RUN_CODE = {run: _run_code(run) for n in range(5)
              for run in map("".join, product(STARS, repeat=n))}
 _DROP_LETTERS = str.maketrans("", "", LETTERS)
+# _WEIGHTS[i]: the c_i of GAMMA_A..GAMMA_D, over the denominator _WEIGHT_DEN
+_COEFFS = [g.coefficients() for g in (GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D)]
+_WEIGHT_DEN = lcm(*(c.denominator for cs in _COEFFS for c in cs))
+_WEIGHTS = [[(c * _WEIGHT_DEN).numerator for c in cs] for cs in zip(*_COEFFS)]
 
 
 class WordError(ValueError):
@@ -136,9 +142,10 @@ def letter_counts(word: str):
 
 def norm(word: str) -> AlgebraicValue:
     """Weighted length: each letter contributes its fixed positive
-    weight.  Exact value in Q(alpha)."""
+    weight.  Exact value in Q(alpha), built once from the counts."""
     na, nb, nc, nd = letter_counts(word)
-    return na * GAMMA_A + nb * GAMMA_B + nc * GAMMA_C + nd * GAMMA_D
+    return _value(*[na * wa + nb * wb + nc * wc + nd * wd
+                    for wa, wb, wc, wd in _WEIGHTS], _WEIGHT_DEN)
 
 
 def compare_norm(u: str, v: str) -> int:

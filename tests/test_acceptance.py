@@ -14,7 +14,7 @@ import time
 
 from grigorchuk.algebraic import ALPHA, GAMMA_A, AlgebraicValue
 from grigorchuk.conjugacy import (ConjContext, are_conjugate, q_set,
-                                  subtree_size_census, word_tree_size)
+                                  subtree_size_census)
 from grigorchuk.oracle import validate_small_instances
 from grigorchuk.quotient import (K_GENERATORS, build_lift_table,
                                  standard_lift_table, standard_quotient)
@@ -139,7 +139,6 @@ def _announce(capsys, num, desc, check):
 
 def test_01_census(capsys):
     def check():
-        word_tree_size.cache_clear()
         t0 = time.perf_counter()
         rows = subtree_size_census()
         elapsed = time.perf_counter() - t0

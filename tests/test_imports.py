@@ -1,8 +1,12 @@
 """Every name a package module imports is used in that module, every
-private helper the package defines is used somewhere in it, and no
-concatenation is reduced from scratch."""
+private helper the package defines is used somewhere in it, no
+concatenation is reduced from scratch, and nothing but the tree-action
+oracle loads numpy."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import grigorchuk
@@ -74,3 +78,48 @@ def test_no_reduction_of_a_concatenation():
     found = {p.name: _concatenations_reduced(ast.parse(p.read_text()))
              for p in _MODULES}
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+# Run in a fresh interpreter: set-up, the decisions, the one-shot CLI
+# verbs and the bench fit, then the tree-action oracle.  The last line
+# printed says whether numpy was loaded before and after the oracle.
+_NUMPY_FREE_SCRIPT = """
+import sys
+
+from grigorchuk import (is_trivial, is_trivial_at_depth, norm, q_set,
+                        shared_context, split, standard_lift_table,
+                        standard_quotient)
+from grigorchuk.bench import BenchRecord, fit_exponent
+from grigorchuk.cli import main
+
+standard_quotient()
+standard_lift_table()
+shared_context()
+assert q_set("ab", "ba")
+assert is_trivial("adadadad")
+assert tuple(split("abab")) == ("ca", "ac")
+assert norm("abc").sign() == 1
+for argv in (["reduce", "abcd"], ["wp", "adadadad"], ["split", "abab"],
+             ["norm", "abc"], ["coset", "ab"], ["conj", "ab", "ba"]):
+    assert main(argv) == 0, argv
+records = [BenchRecord(16, 5, 3, 0.5), BenchRecord(32, 9, 4, 1.5)]
+assert fit_exponent(records, "tree_size") > 0
+before = "numpy" in sys.modules
+trivial = is_trivial_at_depth("adadadad", 7)
+print(before, trivial, "numpy" in sys.modules)
+"""
+
+
+def test_only_the_oracle_loads_numpy():
+    root = str(Path(grigorchuk.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [root, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _NUMPY_FREE_SCRIPT],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    before, trivial, after = done.stdout.splitlines()[-1].split()
+    assert before == "False", "numpy loaded before the tree-action oracle"
+    assert trivial == "True"
+    assert after == "True", "the tree-action oracle ran without numpy"

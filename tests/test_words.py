@@ -117,6 +117,22 @@ def test_norm_exact():
     assert compare_norm("b", "cd") == 0
 
 
+def test_norm_is_the_weighted_letter_sum():
+    # the reference: the weights times the letter counts, summed in Q(alpha)
+    def reference(word):
+        na, nb, nc, nd = letter_counts(word)
+        return na * GAMMA_A + nb * GAMMA_B + nc * GAMMA_C + nd * GAMMA_D
+
+    rng = random.Random(12)
+    words = ["", "a", "bcd", "a" * 5000, "abcd" * 2500]
+    words += ["".join(rng.choice("abcd") for _ in range(rng.randrange(60)))
+              for _ in range(300)]
+    words += [random_reduced_word(rng, rng.randrange(60)) for _ in range(300)]
+    words += [random_reduced_word(rng, 10 ** 4) for _ in range(5)]
+    for w in words:
+        assert norm(w) == reference(w), w
+
+
 def test_counts_and_norms_reject_foreign_letters():
     for word in ("abx", "1", "x" * 4):
         with pytest.raises(WordError):
