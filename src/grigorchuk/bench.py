@@ -11,16 +11,15 @@ from __future__ import annotations
 import io
 import random
 import time
-from dataclasses import dataclass
 from math import log
 from statistics import linear_regression
+from typing import NamedTuple
 
 from .conjugacy import ConjContext
 from .words import random_reduced_word
 
 
-@dataclass
-class BenchRecord:
+class BenchRecord(NamedTuple):
     n: int
     tree_size: int
     visited: int

@@ -33,13 +33,12 @@ combines child masks for both the recursion and the base table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import count
 
 from .algebraic import GAMMA_A, GAMMA_D
 from .quotient import standard_lift_table, standard_quotient
 from .splitting import split, split_shifted
-from .word_problem import tree_to_dot
+from .word_problem import _Node, tree_to_dot
 from .words import (a_parity, check_letters, display, enumerate_reduced,
                     join_reduced, norm, reduce_word)
 
@@ -328,14 +327,14 @@ def are_conjugate(u: str, v: str) -> bool:
 # -- explicit trees and the size census ---------------------------------
 
 
-@dataclass
-class ConjNode:
-    """Node of the explicit (unshared) branching tree for a pair."""
-    u: str
-    v: str
-    kind: str           # "S", "N", "leaf-base" or "leaf-empty"
-    q: frozenset
-    children: list["ConjNode"] = field(default_factory=list)
+class ConjNode(_Node):
+    """Node of the explicit (unshared) branching tree for a pair; kind
+    is "S", "N", "leaf-base" or "leaf-empty"."""
+
+    def __init__(self, u: str, v: str, kind: str, q: frozenset,
+                 children: list[ConjNode] | None = None):
+        self.u, self.v, self.kind, self.q = u, v, kind, q
+        self.children = [] if children is None else children
 
     def size(self) -> int:
         return 1 + sum(child.size() for child in self.children)

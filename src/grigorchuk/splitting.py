@@ -65,6 +65,12 @@ def factor_decomposition(word: str) -> list[str]:
 def split(word: str) -> SplitPair:
     """Sections (w0, w1) of a reduced word of even a-parity."""
     _check(word, 0)
+    return SplitPair(*map(reduce_word, _sections(word)))
+
+
+def _sections(word: str) -> tuple[str, str]:
+    """The section strings of an even reduced word before reduction,
+    which keeps their a-parities."""
     # The stars alternate between single-letter factors and the middles
     # of "a?a" factors, starting with a middle when the word begins
     # with 'a'.  Middles are marked upper case, so one translation per
@@ -74,11 +80,10 @@ def split(word: str) -> SplitPair:
     marked = bytearray(stars.upper(), "ascii")
     marked[lead::2] = stars[lead::2].encode("ascii")
     factors = marked.decode("ascii")
-    return SplitPair(reduce_word(factors.translate(_SUB0)),
-                     reduce_word(factors.translate(_SUB1)))
+    return factors.translate(_SUB0), factors.translate(_SUB1)
 
 
 def split_shifted(word: str) -> SplitPair:
     """Sections of word*a for a reduced word of odd a-parity."""
     _check(word, 1)
-    return split(join_reduced(word, "a"))
+    return SplitPair(*map(reduce_word, _sections(join_reduced(word, "a"))))

@@ -3,10 +3,13 @@
 The decision recursion: reduce; odd a-parity is never trivial; the
 empty word is trivial; a single remaining letter is not (the generators
 are nontrivial automorphisms).  Otherwise rotate into cyclic normal
-form, take the two sections and recurse on both.  Section lengths are
-at most half the input (after normalization the word starts with 'a'),
-so the recursion tree has height about log2 of the word length and
-total size linear in it.
+form, take the two sections and recurse on both, left first.  Section
+lengths are at most half the input (after normalization the word starts
+with 'a'), so the recursion tree has height about log2 of the word
+length and total size linear in it.  Reduction cancels 'a' only in
+pairs, so a section's a-parity is read before reducing it: an odd left
+section answers "no" unreduced, and the right section is reduced only
+once the left one is proven trivial.
 
 build_wp_tree records that same recursion as it runs, depth first, so
 the exported tree stops at the first "no" leaf exactly where the
@@ -16,10 +19,10 @@ decision does.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
-from .splitting import split
-from .words import a_parity, cyclic_normalize, display, inverse, reduce_word
+from .splitting import _sections
+from .words import (a_parity, cyclic_normalize, display, inverse,
+                    join_reduced, reduce_word)
 
 
 def is_trivial(word: str) -> bool:
@@ -27,19 +30,20 @@ def is_trivial(word: str) -> bool:
 
 
 def _trivial_reduced(w: str, node: WpNode | None = None) -> bool:
-    """The decision for a reduced word.  Given a node for w, it records
-    itself there: two children at each split, a mark on each leaf."""
+    """The decision for a word that is reduced or of odd a-parity.  Given
+    a node for w, it records itself there: children per split, leaf marks."""
     while len(w) > 1 and a_parity(w) == 0:
         w, _ = cyclic_normalize(w)
         if len(w) > 1:
-            w0, w1 = split(w)
+            w0, w1 = _sections(w)
             left = None
             if node is not None:
+                w0, w1 = reduce_word(w0), reduce_word(w1)
                 node.children = [WpNode(w0), WpNode(w1)]
                 left, node = node.children
-            if not _trivial_reduced(w0, left):
+            if not _trivial_reduced(_even_reduced(w0), left):
                 return False
-            w = w1
+            w = _even_reduced(w1)
     # odd parity, a single letter, or the empty word
     trivial = not w
     if node is not None:
@@ -47,19 +51,39 @@ def _trivial_reduced(w: str, node: WpNode | None = None) -> bool:
     return trivial
 
 
+def _even_reduced(section: str) -> str:
+    """A section reduced if its a-parity is even, as it is if odd."""
+    return section if a_parity(section) else reduce_word(section)
+
+
 def equal(u: str, v: str) -> bool:
     """Whether two words represent the same element."""
-    return is_trivial(u + inverse(v))
+    return _trivial_reduced(join_reduced(reduce_word(u),
+                                         inverse(reduce_word(v))))
 
 
-@dataclass
-class WpNode:
+class _Node:
+    """Equality and repr of a tree node, by its attributes."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class WpNode(_Node):
     """Node of the explicit decision tree.  mark is "yes", "no", or None
     for an inner node whose answer is the conjunction of its children
     and for a node the decision never reached (it has no children)."""
-    word: str
-    mark: str | None = None
-    children: list["WpNode"] = field(default_factory=list)
+
+    def __init__(self, word: str, mark: str | None = None,
+                 children: list[WpNode] | None = None):
+        self.word, self.mark = word, mark
+        self.children = [] if children is None else children
 
     def height(self) -> int:
         if not self.children:

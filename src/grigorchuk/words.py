@@ -95,10 +95,13 @@ def reduce_word(word: str) -> str:
 def is_reduced(word: str) -> bool:
     """Whether the word alternates 'a' with stars; raises WordError on
     a letter outside a-d."""
+    # tested whole in C: one slice all 'a', the other ASCII stars only
     even, odd = word[0::2], word[1::2]
-    if not (even.strip("a") or odd.strip(STARS)):
+    if (even == "a" * len(even) and odd.isascii()
+            and not odd.encode().translate(None, b"bcd")):
         return True
-    if not (odd.strip("a") or even.strip(STARS)):
+    if (odd == "a" * len(odd) and even.isascii()
+            and not even.encode().translate(None, b"bcd")):
         return True
     check_letters(word)
     return False

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 private helper the package defines is used somewhere in it, no
-concatenation is reduced from scratch, and nothing but the tree-action
-oracle loads numpy."""
+concatenation is reduced from scratch, nothing but the tree-action
+oracle loads numpy, and the decisions load no dataclasses, inspect or
+ast."""
 
 import ast
 import os
@@ -82,7 +83,9 @@ def test_no_reduction_of_a_concatenation():
 
 # Run in a fresh interpreter: set-up, the decisions, the one-shot CLI
 # verbs and the bench fit, then the tree-action oracle.  The last line
-# printed says whether numpy was loaded before and after the oracle.
+# printed says whether numpy was loaded before and after the oracle,
+# then which of dataclasses, inspect and ast set-up and the decisions
+# loaded ("-" for none).
 _NUMPY_FREE_SCRIPT = """
 import sys
 
@@ -99,6 +102,7 @@ assert q_set("ab", "ba")
 assert is_trivial("adadadad")
 assert tuple(split("abab")) == ("ca", "ac")
 assert norm("abc").sign() == 1
+heavy = sorted({"dataclasses", "inspect", "ast"} & set(sys.modules))
 for argv in (["reduce", "abcd"], ["wp", "adadadad"], ["split", "abab"],
              ["norm", "abc"], ["coset", "ab"], ["conj", "ab", "ba"]):
     assert main(argv) == 0, argv
@@ -106,7 +110,7 @@ records = [BenchRecord(16, 5, 3, 0.5), BenchRecord(32, 9, 4, 1.5)]
 assert fit_exponent(records, "tree_size") > 0
 before = "numpy" in sys.modules
 trivial = is_trivial_at_depth("adadadad", 7)
-print(before, trivial, "numpy" in sys.modules)
+print(before, trivial, "numpy" in sys.modules, ",".join(heavy) or "-")
 """
 
 
@@ -119,7 +123,8 @@ def test_only_the_oracle_loads_numpy():
                           capture_output=True, text=True, env=env,
                           timeout=120)
     assert done.returncode == 0, done.stderr
-    before, trivial, after = done.stdout.splitlines()[-1].split()
+    before, trivial, after, heavy = done.stdout.splitlines()[-1].split()
     assert before == "False", "numpy loaded before the tree-action oracle"
     assert trivial == "True"
     assert after == "True", "the tree-action oracle ran without numpy"
+    assert heavy == "-", f"set-up and the decisions loaded {heavy}"

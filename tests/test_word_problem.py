@@ -7,10 +7,13 @@ import re
 
 import pytest
 
+from grigorchuk.splitting import split
 from grigorchuk.tree_action import is_trivial_at_depth, oracle_depth
-from grigorchuk.word_problem import build_wp_tree, equal, is_trivial, tree_answer
-from grigorchuk.words import (WordError, enumerate_reduced, inverse,
-                              random_reduced_word, reduce_word)
+from grigorchuk.word_problem import (WpNode, build_wp_tree, equal, is_trivial,
+                                     tree_answer)
+from grigorchuk.words import (WordError, a_parity, cyclic_normalize,
+                              enumerate_reduced, inverse, random_reduced_word,
+                              reduce_word)
 
 
 def _oracle_trivial(w):
@@ -192,3 +195,101 @@ def test_conjugated_words_reduce_n_log_n_letters(reduced_letters, relator,
         counts.append(letters[0])
         assert counts[-1] >= 2 * n
         assert len(counts) == 1 or counts[-1] <= 6 * counts[-2], counts
+
+
+def _eager_trivial(w, node=None):
+    """The decision as it was written before sections were reduced
+    lazily: reduce both sections, decide the left one, then the right.
+    Kept as the reference for the answers and the recorded trees."""
+    while len(w) > 1 and a_parity(w) == 0:
+        w, _ = cyclic_normalize(w)
+        if len(w) > 1:
+            w0, w1 = split(w)
+            left = None
+            if node is not None:
+                node.children = [WpNode(w0), WpNode(w1)]
+                left, node = node.children
+            if not _eager_trivial(w0, left):
+                return False
+            w = w1
+    trivial = not w
+    if node is not None:
+        node.mark = "yes" if trivial else "no"
+    return trivial
+
+
+_SIGMA = str.maketrans({"a": "aca", "b": "d", "c": "b", "d": "c"})
+
+
+def _relator_product(rng, length):
+    """A trivial word: conjugates of sigma-images of (ad)^4 and
+    (adacac)^4 multiplied until the product reaches the length."""
+    word = ""
+    while len(word) < length:
+        r = rng.choice(("ad" * 4, "adacac" * 4))
+        for _ in range(rng.randrange(4)):
+            r = r.translate(_SIGMA)
+        x = random_reduced_word(rng, rng.randrange(length // 4 + 1))
+        word = reduce_word(word + inverse(x) + r + x)
+    return word
+
+
+def test_lazy_sections_keep_the_eager_answers_and_trees():
+    rng = random.Random(13)
+    words = []
+    for k in range(2, 13):
+        n = 2 ** k
+        for _ in range(4):
+            x = random_reduced_word(rng, rng.randrange(n // 2))
+            words.append(random_reduced_word(rng, n))
+            words.append(inverse(x) + "abab" + x)
+            words.append(x + "ad" * 4 + inverse(x))
+            w = _relator_product(rng, n)
+            cut = rng.randrange(len(w) + 1)
+            words += [w, w[:cut] + "abab" + w[cut:]]
+    answers = set()
+    for w in words:
+        eager = WpNode(reduce_word(w))
+        answer = _eager_trivial(eager.word, eager)
+        assert is_trivial(w) == answer, w
+        assert build_wp_tree(w).to_json() == eager.to_json(), w
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_odd_left_sections_are_refuted_unreduced(reduced_letters):
+    # When the normalized word's left section has odd a-parity, only the
+    # input itself is reduced: neither section is.
+    rng = random.Random(1)
+    qualified = 0
+    for _ in range(20):
+        w = random_reduced_word(rng, 4096)
+        if not a_parity(split(cyclic_normalize(w)[0]).left):
+            continue
+        qualified += 1
+        reduced_letters[0] = 0
+        assert not is_trivial(w)
+        assert reduced_letters[0] == len(w)
+    assert qualified >= 10
+
+
+def test_equal_matches_the_word_problem_on_unreduced_pairs():
+    rng = random.Random(14)
+    answers = set()
+    for _ in range(600):
+        u = "".join(rng.choices("abcd", k=rng.randrange(40)))
+        v = "".join(rng.choices("abcd", k=rng.randrange(40)))
+        if rng.random() < 0.5:
+            cut = rng.randrange(len(u) + 1)
+            v = u[:cut] + rng.choice(("aa", "bcd", "adadadad")) + u[cut:]
+        answer = equal(u, v)
+        assert answer == is_trivial(u + inverse(v)), (u, v)
+        answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_equal_names_the_argument_with_a_foreign_letter():
+    with pytest.raises(WordError, match="in word 'axb'"):
+        equal("axb", "ab")
+    with pytest.raises(WordError, match="in word 'abe'"):
+        equal("ab", "abe")

@@ -1,14 +1,16 @@
 """Reduction, parity, norms and cyclic normalization."""
 
 import random
+from itertools import product
 
 import pytest
 
 from grigorchuk.algebraic import GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D
-from grigorchuk.words import (WordError, a_parity, compare_norm,
-                              cyclic_normalize, display, enumerate_reduced,
-                              inverse, is_reduced, letter_counts, norm,
-                              parse_word, random_reduced_word, reduce_word)
+from grigorchuk.words import (WordError, a_parity, check_letters,
+                              compare_norm, cyclic_normalize, display,
+                              enumerate_reduced, inverse, is_reduced,
+                              letter_counts, norm, parse_word,
+                              random_reduced_word, reduce_word)
 
 
 def test_parse_and_display():
@@ -48,6 +50,50 @@ def test_is_reduced_rejects_foreign_letters():
             is_reduced(word)
         with pytest.raises(WordError, match="invalid letter"):
             reduce_word(word)
+
+
+def _is_reduced_by_strip(word):
+    """is_reduced as it was written with str.strip, kept as the
+    reference."""
+    even, odd = word[0::2], word[1::2]
+    if not (even.strip("a") or odd.strip("bcd")):
+        return True
+    if not (odd.strip("a") or even.strip("bcd")):
+        return True
+    check_letters(word)
+    return False
+
+
+def _outcome(test, word):
+    try:
+        return test(word)
+    except Exception as exc:  # the type and message are compared
+        return type(exc), str(exc)
+
+
+def test_is_reduced_matches_the_strip_reference_exhaustively():
+    for n in range(8):
+        for letters in product("abcdx\u00e9", repeat=n):
+            word = "".join(letters)
+            assert (_outcome(is_reduced, word)
+                    == _outcome(_is_reduced_by_strip, word)), word
+
+
+def test_is_reduced_matches_the_strip_reference_on_long_words():
+    # reduced words, then one or two letters replaced or inserted; the
+    # lone surrogate cannot be encoded and must still raise WordError
+    rng = random.Random(7)
+    outcomes = set()
+    for _ in range(300):
+        word = random_reduced_word(rng, rng.randrange(1000, 5000))
+        for _ in range(rng.randrange(3)):
+            i = rng.randrange(len(word) + 1)
+            letter = rng.choice("abcdx\u00e9\ud800")
+            word = word[:i] + letter + word[i + rng.randrange(2):]
+        got = _outcome(is_reduced, word)
+        assert got == _outcome(_is_reduced_by_strip, word), word[:40]
+        outcomes.add(got if isinstance(got, bool) else got[0])
+    assert outcomes == {True, False, WordError}
 
 
 def test_reduced_words_alternate():
