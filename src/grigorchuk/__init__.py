@@ -20,9 +20,9 @@ from .splitting import SplitPair, factor_decomposition, split, split_shifted
 from .tree_action import apply_word, is_trivial_at_depth, oracle_depth
 from .word_problem import (WpNode, build_wp_tree, equal, is_trivial,
                            tree_answer)
-from .words import (WordError, a_parity, compare_norm, cyclic_normalize,
-                    display, enumerate_reduced, inverse, is_reduced,
-                    letter_counts, norm, parse_word, random_reduced_word,
-                    reduce_word)
+from .words import (WordError, a_parity, compare_norm, cyclic_core,
+                    cyclic_normalize, display, enumerate_reduced, inverse,
+                    is_reduced, letter_counts, norm, parse_word,
+                    random_reduced_word, reduce_word)
 
 __version__ = "0.1.0"

@@ -16,6 +16,18 @@ pairs:
   * mixed parity: empty.
   * both words of length <= 1: a fixed base table.
 
+The decision starts from the cyclic cores.  K is normal, so with
+u = h n h^-1 and v = g m g^-1 an element y conjugates v to u exactly
+when g^-1 y h conjugates m to n; hence
+
+    Q(u, v) = cos(g) * Q(n, m) * cos(h)^-1,
+
+and q_mask runs the recursion on (n, m) only and translates its mask.
+A literal conjugate x u x^-1 costs one frame strip, and conjugates of
+one core share every visited pair.  Explicit trees and tree sizes stay
+rooted at the raw pair (u, v); their root mask is the same by the
+identity.
+
 The base table is not written out by hand: the 25 pairs of words of
 length <= 1 are closed under taking children, and the table is the
 greatest fixed point of the same S- and N-rules on them.  Mixed-parity
@@ -39,8 +51,8 @@ from .algebraic import GAMMA_A, GAMMA_D
 from .quotient import standard_lift_table, standard_quotient
 from .splitting import split, split_shifted
 from .word_problem import _Node, tree_to_dot
-from .words import (a_parity, check_letters, display, enumerate_reduced,
-                    join_reduced, norm, reduce_word)
+from .words import (a_parity, check_letters, cyclic_core, display,
+                    enumerate_reduced, join_reduced, norm, reduce_word)
 
 _FULL = (1 << 16) - 1
 
@@ -209,8 +221,19 @@ class ConjContext:
     # -- the memoized recursion ----------------------------------------
 
     def q_mask(self, u: str, v: str) -> int:
-        return self._q_rec(self.intern(reduce_word(u)),
-                           self.intern(reduce_word(v)), set())
+        """Q(u, v) as a mask, decided on the cyclic cores: with
+        u = h n h^-1 and v = g m g^-1 it is cos(g) Q(n, m) cos(h)^-1."""
+        n, h = cyclic_core(reduce_word(u))
+        m, g = cyclic_core(reduce_word(v))
+        core = self._q_rec(self.intern(n), self.intern(m), set())
+        mult = self._mult
+        left = mult[self.q.coset_of(g)]
+        inv_h = self._inv_row[self.q.coset_of(h)]
+        out = 0
+        for t in range(16):
+            if core >> t & 1:
+                out |= 1 << mult[left[t]][inv_h]
+        return out
 
     def _branch(self, iu: int, iv: int) -> tuple[str, tuple]:
         """Node kind of a pair in the decision and its child pairs: an
@@ -316,7 +339,8 @@ def shared_context() -> ConjContext:
 
 def q_set(u: str, v: str) -> frozenset:
     """Cosets of the elements conjugating v to u; empty iff not
-    conjugate."""
+    conjugate.  Decided on the cyclic cores n of u = h n h^-1 and m of
+    v = g m g^-1 as cos(g) * Q(n, m) * cos(h)^-1."""
     return _mask_to_set(shared_context().q_mask(u, v))
 
 

@@ -156,19 +156,59 @@ def compare_norm(u: str, v: str) -> int:
     return (norm(u) - norm(v)).sign()
 
 
+def cyclic_core(word: str):
+    """Strip the frame of a reduced word: returns (m, g) with word equal
+    to g m inverse(g) and g a prefix of word.  m has length <= 1 or
+    begins with 'a' and does not end with 'a'; it is never longer than
+    the word.
+
+    The word is g m inverse(g) for the longest g that leaves m a letter
+    or a word with different end letters.  If m begins with a star s,
+    one rotation by s more gives join_reduced(m[1:], s), which begins
+    with 'a' and ends with a star.  The frame length is the longest k
+    up to len(word) // 2 with word[:k] == word[::-1][:k]; that test
+    holds for every shorter k too, so k is found by doubling and then
+    bisection.  Each step compares only the letters it adds to the
+    prefix already known to pass, so a frame of k letters costs O(k)
+    letters of slicing, and a word whose end letters differ costs one
+    comparison.
+    """
+    n = len(word)
+    k = 0
+    if n > 1 and word[0] == word[-1]:
+        top, k = n // 2, 1
+        while k < top:
+            # the letters k..span-1 against their mirror images
+            span = min(2 * k, top)
+            tail = word[-1 - k:-1 - span:-1]
+            if word[k:span] == tail:
+                k = span
+                continue
+            # k passes and span fails: bisect, comparing only the
+            # letters between them
+            base = k
+            while span - k > 1:
+                mid = (k + span) // 2
+                if word[k:mid] == tail[k - base:mid - base]:
+                    k = mid
+                else:
+                    span = mid
+            break
+    m = word[k:n - k]
+    if len(m) > 1 and m[0] != "a":
+        return join_reduced(m[1:], m[0]), word[:k + 1]
+    return m, word[:k]
+
+
 def cyclic_normalize(word: str):
     """Conjugate a reduced word of even a-parity into rotated normal
-    form.
+    form: its cyclic_core, after checking that the word is reduced,
+    even and nonempty.
 
     Returns (normalized, g) with normalized == reduce(inverse(g) + word + g)
     and g a prefix of word.  The result either has length <= 1 or begins
     with 'a' and does not end with 'a'; rotation can shorten the word,
     never lengthen it.
-
-    The word is g m inverse(g) for the longest g that leaves m a letter
-    or a word with different end letters.  If m begins with a star s,
-    one rotation by s more gives join_reduced(m[1:], s), which begins
-    with 'a' and ends with a star.
     """
     if not is_reduced(word):
         raise ValueError("word must be reduced")
@@ -176,13 +216,7 @@ def cyclic_normalize(word: str):
         raise ValueError("word must have even a-parity")
     if not word:
         raise ValueError("word must be nonempty")
-    k, n = 0, len(word)
-    while n - 2 * k > 1 and word[k] == word[n - 1 - k]:
-        k += 1
-    m = word[k:n - k]
-    if len(m) > 1 and m[0] != "a":
-        return join_reduced(m[1:], m[0]), word[:k + 1]
-    return m, word[:k]
+    return cyclic_core(word)
 
 
 def enumerate_reduced(max_len: int, min_len: int = 0):

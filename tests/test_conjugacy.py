@@ -13,8 +13,9 @@ from grigorchuk.conjugacy import (ConjContext, are_conjugate, build_conj_tree,
 from grigorchuk.quotient import standard_quotient
 from grigorchuk.splitting import split, split_shifted
 from grigorchuk.word_problem import equal, is_trivial
-from grigorchuk.words import (WordError, a_parity, enumerate_reduced, inverse,
-                              norm, random_reduced_word, reduce_word)
+from grigorchuk.words import (WordError, a_parity, cyclic_core,
+                              enumerate_reduced, inverse, norm,
+                              random_reduced_word, reduce_word)
 
 
 def test_base_table_cardinalities():
@@ -321,13 +322,39 @@ def test_intern_of_a_foreign_letter_records_nothing():
         assert [len(column) for column in columns] == [before] * 6
 
 
+def test_conjugates_with_one_core_share_the_memo():
+    # the decision runs on cyclic cores, so a second conjugate of u
+    # whose core is the first one's adds no visited pair
+    rng = random.Random(14)
+    shared = 0
+    for _ in range(200):
+        u = random_reduced_word(rng, rng.randrange(2, 200))
+        v1, v2 = (reduce_word(x + u + inverse(x)) for x in
+                  (random_reduced_word(rng, rng.randrange(1, 100))
+                   for _ in range(2)))
+        if v1 == v2 or cyclic_core(v1)[0] != cyclic_core(v2)[0]:
+            continue
+        ctx = ConjContext()
+        assert ctx.q_mask(u, v1)
+        before = ctx.visited_pairs
+        assert before > 0 and ctx.q_mask(u, v2)
+        assert ctx.visited_pairs == before
+        shared += 1
+    assert shared >= 20
+
+
 def test_conjugate_pairs_visit_linearly_many_pairs(reduced_letters):
     # (u, x^-1 u x) with |u| = |x| = n/2, a fresh context per pair.
     # Measured per 4x step in n: visited pairs grow 1.4-2.8x and letters
     # passed to reduce_word 3.6-4.2x (ten seeds); linear work gives 4x,
-    # quadratic work 16x.
+    # quadratic work 16x.  The decision strips the frame x, so the same
+    # pairs are run with the relator (ad)^4 after x as well: that tail
+    # leaves a frame of at most a few letters, and the recursion meets
+    # the whole conjugate (seeds 0-3: pairs 1.36-2.91x, letters
+    # 3.6-4.17x per 4x step).
     rng = random.Random(0)
     counts = []
+    padded_counts = []
     for n in (2 ** 10, 2 ** 12, 2 ** 14):
         u = random_reduced_word(rng, n // 2)
         x = random_reduced_word(rng, n // 2)
@@ -337,5 +364,16 @@ def test_conjugate_pairs_visit_linearly_many_pairs(reduced_letters):
         assert ctx.q_mask(u, v)
         counts.append((ctx.visited_pairs, reduced_letters[0]))
         assert counts[-1][1] >= n
+        padded = reduce_word(inverse(x) + u + x + "ad" * 4)
+        assert len(cyclic_core(padded)[1]) <= 8
+        ctx = ConjContext()
+        reduced_letters[0] = 0
+        assert ctx.q_mask(u, padded)
+        padded_counts.append((ctx.visited_pairs, reduced_letters[0]))
+        assert padded_counts[-1][1] >= n
     for (pairs, letters), (pairs4, letters4) in zip(counts, counts[1:]):
         assert pairs4 <= 4 * pairs and letters4 <= 6 * letters, counts
+    for (pairs, letters), (pairs4, letters4) in zip(padded_counts,
+                                                    padded_counts[1:]):
+        assert (pairs4 <= 4 * pairs
+                and letters4 <= 6 * letters), padded_counts

@@ -3,12 +3,13 @@
 Each fast path is compared with an independent statement of what it
 computes: reduce_word with a stack pass over letters, is_reduced with
 reduction, join_reduced with reduction, split with a factor-by-factor
-substitution and with the tree action, cyclic_normalize with its
-postcondition, and is_trivial with the depth-truncated tree oracle.
-The conjugacy layer is held to what any correct answer satisfies:
-coset_of is a homomorphism that ignores reduction, Q-sets move by the
-conjugator's coset, conjugate words share their abelian image, and
-conjugacy is symmetric.
+substitution and with the tree action, cyclic_normalize and
+cyclic_core with their postconditions, and is_trivial with the
+depth-truncated tree oracle.  The conjugacy layer is held to what any
+correct answer satisfies: coset_of is a homomorphism that ignores
+reduction, Q-sets move by the conjugator's coset, the mask decided on
+the cyclic cores is the mask of the raw pair, conjugate words share
+their abelian image, and conjugacy is symmetric.
 """
 
 from itertools import permutations, product
@@ -17,15 +18,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grigorchuk.conjugacy import are_conjugate, q_set
+from grigorchuk.conjugacy import (ConjContext, are_conjugate, q_set,
+                                  shared_context)
 from grigorchuk.oracle import abelian_image
 from grigorchuk.quotient import standard_quotient
 from grigorchuk.splitting import split, split_shifted
 from grigorchuk.tree_action import (apply_word, is_trivial_at_depth,
                                     oracle_depth)
-from grigorchuk.word_problem import is_trivial
-from grigorchuk.words import (STARS, WordError, a_parity, cyclic_normalize,
-                              inverse, is_reduced, join_reduced, reduce_word)
+from grigorchuk.word_problem import equal, is_trivial
+from grigorchuk.words import (STARS, WordError, a_parity, cyclic_core,
+                              cyclic_normalize, inverse, is_reduced,
+                              join_reduced, reduce_word)
 
 # section letters of a single star; a triple "a u a" swaps them
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
@@ -193,6 +196,53 @@ def test_cyclic_normalize_postcondition_conjugated(core, x):
     nw = _check_normal_form(reduce_word(inverse(x) + core + x))
     # both normal forms are cyclically reduced, so the conjugator is gone
     assert len(nw) == len(cyclic_normalize(core)[0])
+
+
+def _conjugates(words, conjugators):
+    """x u x^-1, reduced, for u and x drawn from the two strategies."""
+    return st.tuples(words, conjugators).map(
+        lambda t: reduce_word(t[1] + t[0] + inverse(t[1])))
+
+
+@settings(deadline=None)
+@given(st.one_of(reduced_words(max_size=4096),
+                 _conjugates(reduced_words(max_size=16),
+                             reduced_words(max_size=2040))))
+def test_cyclic_core_postcondition(word):
+    m, g = cyclic_core(word)
+    assert word.startswith(g)
+    assert equal(g + m + inverse(g), word)
+    assert len(m) <= 1 or (m[0] == "a" and m[-1] != "a")
+
+
+# palindromes, whose frame is all but the middle letter, and the words
+# of length <= 1
+_SMALL_AND_PALINDROMIC = st.sampled_from(
+    ["", "a", "b", "c", "d", "aba", "badab", "abacaba", "dabad"])
+
+
+@settings(deadline=None)
+@given(st.one_of(
+    st.tuples(reduced_words(max_size=160), reduced_words(max_size=160)),
+    reduced_words(max_size=160).flatmap(
+        lambda u: st.tuples(st.just(u),
+                            _conjugates(st.just(u),
+                                        reduced_words(max_size=80)))),
+    st.tuples(_SMALL_AND_PALINDROMIC,
+              st.one_of(_SMALL_AND_PALINDROMIC,
+                        _conjugates(_SMALL_AND_PALINDROMIC,
+                                    reduced_words(max_size=20))))))
+@example(("aba", "badab"))
+@example(("badab", "a"))
+def test_q_mask_on_cores_is_the_raw_pair_mask(pair):
+    # Q(u, v) = cos(g) Q(n, m) cos(h)^-1 for u = h n h^-1, v = g m g^-1:
+    # the decision on the cores, translated, is the recursion on the
+    # raw reduced pair in a fresh context
+    u, v = pair
+    fresh = ConjContext()
+    raw = fresh._q_rec(fresh.intern(reduce_word(u)),
+                       fresh.intern(reduce_word(v)), set())
+    assert shared_context().q_mask(u, v) == raw
 
 
 @settings(deadline=None)

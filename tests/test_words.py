@@ -6,11 +6,12 @@ from itertools import product
 import pytest
 
 from grigorchuk.algebraic import GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D
+from grigorchuk.word_problem import equal
 from grigorchuk.words import (WordError, a_parity, check_letters,
-                              compare_norm, cyclic_normalize, display,
-                              enumerate_reduced, inverse, is_reduced,
-                              letter_counts, norm, parse_word,
-                              random_reduced_word, reduce_word)
+                              compare_norm, cyclic_core, cyclic_normalize,
+                              display, enumerate_reduced, inverse,
+                              is_reduced, join_reduced, letter_counts, norm,
+                              parse_word, random_reduced_word, reduce_word)
 
 
 def test_parse_and_display():
@@ -213,6 +214,60 @@ def test_cyclic_normalize_errors():
         cyclic_normalize("")       # empty
     with pytest.raises(ValueError):
         cyclic_normalize("bb")     # not reduced
+
+
+def _core_by_letter_loop(word):
+    """The frame strip as a scan one letter at a time from both ends,
+    as cyclic_normalize was written before cyclic_core; kept as the
+    reference."""
+    k, n = 0, len(word)
+    while n - 2 * k > 1 and word[k] == word[n - 1 - k]:
+        k += 1
+    m = word[k:n - k]
+    if len(m) > 1 and m[0] != "a":
+        return join_reduced(m[1:], m[0]), word[:k + 1]
+    return m, word[:k]
+
+
+def _check_core(word, core):
+    m, g = core
+    assert word.startswith(g)
+    assert equal(g + m + inverse(g), word)
+    assert len(m) <= len(word)
+    assert len(m) <= 1 or (m[0] == "a" and m[-1] != "a")
+
+
+def test_cyclic_core_matches_the_letter_loop_exhaustively():
+    # every reduced word up to 12 letters, both a-parities
+    parities = set()
+    for w in enumerate_reduced(12):
+        core = cyclic_core(w)
+        assert core == _core_by_letter_loop(w), w
+        _check_core(w, core)
+        parities.add(a_parity(w))
+    assert parities == {0, 1}
+
+
+def test_cyclic_core_strips_long_frames():
+    # x c x^-1 for long x and short c of either parity: the frame found
+    # by doubling and bisection is the one the letter loop finds
+    rng = random.Random(13)
+    for _ in range(200):
+        x = random_reduced_word(rng, rng.randrange(1, 3000))
+        c = random_reduced_word(rng, rng.randrange(0, 8))
+        w = reduce_word(x + c + inverse(x))
+        core = cyclic_core(w)
+        assert core == _core_by_letter_loop(w), (x[-20:], c)
+        _check_core(w, core)
+        assert len(core[0]) == len(cyclic_core(c)[0])
+
+
+def test_cyclic_normalize_is_unchanged_on_even_words():
+    # the three checks, then cyclic_core: the same (normalized, g) as
+    # the letter loop on every even reduced word up to 13 letters
+    for w in enumerate_reduced(13, min_len=1):
+        if a_parity(w) == 0:
+            assert cyclic_normalize(w) == _core_by_letter_loop(w), w
 
 
 def test_enumerate_reduced_counts():
