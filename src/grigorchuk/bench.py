@@ -29,9 +29,13 @@ class BenchRecord(NamedTuple):
     millis: float
 
 
-def geometric_lengths(max_len: int, start: int = 16) -> list[int]:
+# the shortest word length sampled; lengths double from it
+_FIRST_LEN = 16
+
+
+def geometric_lengths(max_len: int) -> list[int]:
     lengths = []
-    n = start
+    n = _FIRST_LEN
     while n < max_len:
         lengths.append(n)
         n *= 2

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Verbs: reduce, wp, split, norm, coset, conj, selftest, bench.
-Exit codes: 0 on success, 1 on usage errors or failed checks, 2 when a
-word does not parse.  The identity is written "1" on input and output.
+Exit codes: 0 on success, 1 on usage errors (an output path that
+cannot be written among them) or failed checks, 2 when a word does not
+parse.  The identity is written "1" on input and output.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="scaling benchmark")
     # lengths run 16, 32, ... up to max_len: a slope needs two of them
-    p.add_argument("--max-len", type=_int_above(16), default=1024)
+    p.add_argument("--max-len", type=_int_above(bench_mod._FIRST_LEN),
+                   default=1024)
     p.add_argument("--samples", type=_int_above(0), default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--csv", metavar="PATH", help="write per-sample records")
@@ -242,6 +244,10 @@ def main(argv=None) -> int:
     except WordError as exc:
         print(f"grig: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # an output path that cannot be written is a usage error
+        print(f"grig: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

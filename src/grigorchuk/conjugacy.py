@@ -44,17 +44,18 @@ combines child masks for both the recursion and the base table.
 
 from __future__ import annotations
 
-import json
 from itertools import count
 
 from .algebraic import GAMMA_A, GAMMA_D
 from .quotient import standard_lift_table, standard_quotient
 from .splitting import split, split_shifted
-from .word_problem import _Node, tree_to_dot
+from .word_problem import _Node
 from .words import (a_parity, check_letters, cyclic_core, display,
                     enumerate_reduced, join_reduced, norm, reduce_word)
 
 _FULL = (1 << 16) - 1
+
+_CENSUS_NORM_BOUND = 9
 
 
 def _mask_to_set(mask: int) -> frozenset:
@@ -355,13 +356,12 @@ class ConjNode(_Node):
     """Node of the explicit (unshared) branching tree for a pair; kind
     is "S", "N", "leaf-base" or "leaf-empty"."""
 
+    _graph = "conj"
+
     def __init__(self, u: str, v: str, kind: str, q: frozenset,
                  children: list[ConjNode] | None = None):
         self.u, self.v, self.kind, self.q = u, v, kind, q
         self.children = [] if children is None else children
-
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
 
     def to_dict(self) -> dict:
         return {
@@ -371,12 +371,6 @@ class ConjNode(_Node):
             "q": sorted(self.q),
             "children": [child.to_dict() for child in self.children],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_dot(self) -> str:
-        return tree_to_dot(self, "conj", ConjNode._dot_label)
 
     def _dot_label(self) -> str:
         qtxt = "{" + ", ".join(str(i) for i in sorted(self.q)) + "}"
@@ -429,18 +423,18 @@ def word_children(word: str) -> tuple[str, str]:
     return ctx._words[c0], ctx._words[c1]
 
 
-def subtree_size_census(norm_bound: int = 9):
-    """All reduced words of length >= 2 whose norm is strictly below the
-    bound, with their two children and halving-tree size."""
+def subtree_size_census():
+    """All reduced words of length >= 2 whose norm is strictly below
+    _CENSUS_NORM_BOUND, with their two children and halving-tree size."""
     rows = []
     for n in count(2):
         # the cheapest reduced word of length n has n//2 letters 'a' and
         # all stars 'd'; once it reaches the bound, so do longer words
         least = (n // 2) * GAMMA_A + (n - n // 2) * GAMMA_D
-        if (least - norm_bound).sign() >= 0:
+        if (least - _CENSUS_NORM_BOUND).sign() >= 0:
             break
         for w in enumerate_reduced(n, min_len=n):
-            if (norm(w) - norm_bound).sign() < 0:
+            if (norm(w) - _CENSUS_NORM_BOUND).sign() < 0:
                 c0, c1 = word_children(w)
                 rows.append((w, c0, c1, word_tree_size(w)))
     return rows

@@ -12,9 +12,14 @@ numbering is deterministic but has no external meaning.  Consumers must
 only rely on numbering-invariant facts (counts, parities, products).
 
 The lift table records which pairs of cosets of the two sections of an
-even word can occur and what coset the word itself then lies in; it is
-rebuilt from scratch by scanning even reduced words and is rejected on
-any conflict.
+even word can occur and what coset the word itself then lies in.  It
+is built by walking products of the six factors b, c, d, aba, aca, ada
+of even words from the empty word, extending a word by every factor
+only when its section pair is new.  The walk is complete: w -> (cos w0,
+cos w1, cos w) is a homomorphism on the level-one stabilizer, which the
+factors generate, so the recorded pairs, closed under the factors, are
+all the pairs, and checking each product of a recorded word with a
+factor finds any pair with two values.  Any conflict is fatal.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import io
 from functools import lru_cache
 
 from .splitting import split
-from .words import LETTERS, WordError, a_parity, enumerate_reduced
+from .words import LETTERS, WordError, join_reduced
 
 _BASE_RELATORS = ("aa", "bb", "cc", "dd", "bcd", "abab", "adadadad")
 
@@ -230,27 +235,32 @@ class LiftTable:
         return buf.getvalue()
 
 
-def build_lift_table(quotient: Quotient, max_len: int = 12,
-                     rng=None) -> LiftTable:
-    """Scan all even reduced words up to max_len, recording the coset
-    triple of each word and its two sections.  Any conflict between two
-    words is fatal; the result must contain exactly 32 pairs whose
-    values are even cosets, each hit by exactly four pairs.
+def build_lift_table(quotient: Quotient, rng=None) -> LiftTable:
+    """Walk products of the six factors of even reduced words from the
+    empty word, recording the coset triple of each word and its two
+    sections.  A word is extended by every factor only when its section
+    pair is new.  Any conflict between two words is fatal; the result
+    must contain exactly 32 pairs whose values are even cosets, each hit
+    by exactly four pairs.
 
-    rng, if given, shuffles the scan order; the table must not depend
-    on it.
+    rng, if given, shuffles the factors; the table must not depend on
+    it.
     """
-    words = [w for w in enumerate_reduced(max_len) if a_parity(w) == 0]
+    # the factors splitting.factor_decomposition cuts even words into
+    factors = ["b", "c", "d", "aba", "aca", "ada"]
     if rng is not None:
-        rng.shuffle(words)
+        rng.shuffle(factors)
     pairs = {}
-    for w in words:
+    todo = [""]
+    while todo:
+        w = todo.pop()
         w0, w1 = split(w)
         key = (quotient.coset_of(w0), quotient.coset_of(w1))
         val = quotient.coset_of(w)
         old = pairs.get(key)
         if old is None:
             pairs[key] = val
+            todo.extend(join_reduced(w, f) for f in factors)
         elif old != val:
             raise RuntimeError(f"conflicting lift at {key}: {old} vs {val}")
     if len(pairs) != 32:

@@ -63,7 +63,8 @@ def equal(u: str, v: str) -> bool:
 
 
 class _Node:
-    """Equality and repr of a tree node, by its attributes."""
+    """Equality, repr and export of a tree node with a children list.
+    Subclasses give to_dict, _dot_label and the DOT graph name _graph."""
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -74,11 +75,39 @@ class _Node:
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
         return f"{type(self).__name__}({fields})"
 
+    def size(self) -> int:
+        return 1 + sum(child.size() for child in self.children)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
+
+    def to_dot(self) -> str:
+        """DOT text of the tree: nodes are numbered depth first, each
+        labelled by its _dot_label."""
+        lines = [f"digraph {self._graph} {{",
+                 '  node [shape=box, fontname="monospace"];']
+        counter = [0]
+
+        def visit(node) -> int:
+            idx = counter[0]
+            counter[0] += 1
+            lines.append(f'  n{idx} [label="{node._dot_label()}"];')
+            for child in node.children:
+                cidx = visit(child)
+                lines.append(f"  n{idx} -> n{cidx};")
+            return idx
+
+        visit(self)
+        lines.append("}")
+        return "\n".join(lines)
+
 
 class WpNode(_Node):
     """Node of the explicit decision tree.  mark is "yes", "no", or None
     for an inner node whose answer is the conjunction of its children
     and for a node the decision never reached (it has no children)."""
+
+    _graph = "wp"
 
     def __init__(self, word: str, mark: str | None = None,
                  children: list[WpNode] | None = None):
@@ -90,9 +119,6 @@ class WpNode(_Node):
             return 0
         return 1 + max(child.height() for child in self.children)
 
-    def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
-
     def to_dict(self) -> dict:
         return {
             "word": display(self.word),
@@ -100,37 +126,11 @@ class WpNode(_Node):
             "children": [child.to_dict() for child in self.children],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
-    def to_dot(self) -> str:
-        return tree_to_dot(self, "wp", WpNode._dot_label)
-
     def _dot_label(self) -> str:
         label = display(self.word)
         if self.mark is not None:
             label += f"\\n[{self.mark}]"
         return label
-
-
-def tree_to_dot(root, name: str, label) -> str:
-    """DOT text of a tree with a children list per node: nodes are
-    numbered depth first, each labelled by label(node)."""
-    lines = [f"digraph {name} {{", '  node [shape=box, fontname="monospace"];']
-    counter = [0]
-
-    def visit(node) -> int:
-        idx = counter[0]
-        counter[0] += 1
-        lines.append(f'  n{idx} [label="{label(node)}"];')
-        for child in node.children:
-            cidx = visit(child)
-            lines.append(f"  n{idx} -> n{cidx};")
-        return idx
-
-    visit(root)
-    lines.append("}")
-    return "\n".join(lines)
 
 
 def build_wp_tree(word: str) -> WpNode:

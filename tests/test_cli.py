@@ -127,6 +127,16 @@ def test_bench_rejects_degenerate_arguments(capsys, argv):
     assert f"argument {argv[0]}: must be greater than" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("wp", "ab", "--tree"), ("coset", "--lift-csv")])
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith("grig: ") and str(path) in err
+    assert not path.parent.exists()
+
+
 def test_bad_letter_exit_code(capsys):
     code, _, err = run(capsys, "wp", "ax")
     assert code == 2

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import grigorchuk.quotient
 from grigorchuk.quotient import (K_GENERATORS, LiftTable, Quotient,
                                  build_lift_table, build_quotient,
                                  standard_lift_table, standard_quotient)
@@ -200,6 +201,32 @@ def test_lift_rebuild_is_stable_under_shuffling():
     for seed in (7, 11, 13):
         rebuilt = build_lift_table(q, rng=random.Random(seed))
         assert rebuilt.pairs == base.pairs
+
+
+def test_lift_walk_matches_the_even_word_scan():
+    # independent reference: every even reduced word of up to 12 letters
+    # gives a conflict-free triple, and together they give every pair
+    q = standard_quotient()
+    words = [w for w in enumerate_reduced(12) if a_parity(w) == 0]
+    assert len(words) == 2185
+    scanned = {}
+    for w in words:
+        w0, w1 = split(w)
+        key = (q.coset_of(w0), q.coset_of(w1))
+        assert scanned.setdefault(key, q.coset_of(w)) == q.coset_of(w)
+    assert scanned == standard_lift_table().pairs
+
+
+def test_lift_walk_splits_one_word_per_pair_and_factor(monkeypatch):
+    calls = []
+
+    def counting_split(word):
+        calls.append(word)
+        return split(word)
+
+    monkeypatch.setattr(grigorchuk.quotient, "split", counting_split)
+    build_lift_table(build_quotient())
+    assert len(calls) <= 1 + 6 * 32
 
 
 def test_lift_csv_round_trip():
