@@ -76,9 +76,6 @@ class ConjContext:
         self._trans_rows = (tuple(range(16)),
                             tuple(self.q.mult(t, self._img_a)
                                   for t in range(16)))
-        self._mult = tuple(tuple(self.q.mult(i, j) for j in range(16))
-                           for i in range(16))
-        self._inv_row = tuple(self.q.inv(i) for i in range(16))
         self._s_cache: dict[tuple[int, int, bool], int] = {}
         self._n_cache: dict[tuple[int, int, int, bool], int] = {}
         # interned words: id -> (word, parity, len<=1, child ids,
@@ -153,9 +150,9 @@ class ConjContext:
         if out is None:
             out = 0
             lift_rows = self._lift_rows
-            mult = self._mult
+            mult = self.q.mult_table
             trans = self._trans_rows[translate]
-            inv_cu = self._inv_row[cu]
+            inv_cu = self.q.inv_table[cu]
             row_v = mult[cv1]
             for i in range(16):
                 if not mask >> i & 1:
@@ -227,9 +224,9 @@ class ConjContext:
         n, h = cyclic_core(reduce_word(u))
         m, g = cyclic_core(reduce_word(v))
         core = self._q_rec(self.intern(n), self.intern(m), set())
-        mult = self._mult
+        mult = self.q.mult_table
         left = mult[self.q.coset_of(g)]
-        inv_h = self._inv_row[self.q.coset_of(h)]
+        inv_h = self.q.inv_table[self.q.coset_of(h)]
         out = 0
         for t in range(16):
             if core >> t & 1:

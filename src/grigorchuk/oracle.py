@@ -11,8 +11,6 @@ b followed by c.
 
 from __future__ import annotations
 
-import json
-
 from .conjugacy import are_conjugate
 from .word_problem import equal
 from .words import (LETTERS, enumerate_reduced, inverse, join_reduced,
@@ -92,18 +90,3 @@ def validate_small_instances(max_word_len: int = 4,
         "conjugate_pairs": yes_count,
         "violations": violations,
     }
-
-
-def render_report(report: dict) -> str:
-    lines = [
-        f"pairs checked:    {report['pairs_checked']}",
-        f"conjugate pairs:  {report['conjugate_pairs']}",
-        f"violations:       {len(report['violations'])}",
-    ]
-    for v in report["violations"][:20]:
-        lines.append(f"  {v}")
-    return "\n".join(lines)
-
-
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2)

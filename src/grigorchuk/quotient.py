@@ -5,11 +5,22 @@ quotient is the finite group presented by
 
     a^2, b^2, c^2, d^2, bcd, (ab)^2, (ad)^4.
 
-Coset enumeration over the trivial subgroup yields its regular
-representation; cosets are then renumbered canonically by breadth-first
-search from the identity with generator order a, b, c, d, so the
-numbering is deterministic but has no external meaning.  Consumers must
-only rely on numbering-invariant facts (counts, parities, products).
+It is built from a model of the presented group:
+
+- (ab)^2 = 1 makes b commute with a, and b commutes with c and d = bc,
+  so b is central.
+- a and d generate a dihedral group of order at most 8, since
+  (ad)^4 = 1, and c = bd.  So the presented group has at most 16
+  elements.
+- The model acts on the 8 points (x, s), x mod 4 and s mod 2: a sends
+  (x, s) to (-x, s), d to (1-x, s), b to (x, 1-s) and c = bd to
+  (1-x, 1-s).  It realises 16 elements, and every relator is trivial
+  in it, so it is that group.
+
+Its elements are numbered breadth first from the identity with
+generator order a, b, c, d, so the numbering is deterministic but has
+no external meaning.  Consumers must only rely on numbering-invariant
+facts (counts, parities, products).
 
 The lift table records which pairs of cosets of the two sections of an
 even word can occur and what coset the word itself then lies in.  It
@@ -34,95 +45,16 @@ _BASE_RELATORS = ("aa", "bb", "cc", "dd", "bcd", "abab", "adadadad")
 
 K_GENERATORS = ("abab", "badabada", "abadabad")
 
-
-def _coset_enumeration(relators):
-    """Coset table for the trivial subgroup; all generators are their
-    own inverses, which keeps scans symmetric.  Returns the table rows
-    of the live cosets (with stale entries) plus the find function."""
-    table = [[None] * 4]
-    parent = [0]
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    def define(a, x):
-        b = len(table)
-        table.append([None] * 4)
-        parent.append(b)
-        table[a][x] = b
-        table[b][x] = a
-        return b
-
-    def coincidence(a, b):
-        queue = []
-
-        def merge(u, v):
-            u, v = find(u), find(v)
-            if u == v:
-                return
-            if v < u:
-                u, v = v, u
-            parent[v] = u
-            queue.append(v)
-
-        merge(a, b)
-        while queue:
-            e = queue.pop()
-            for x in range(4):
-                f = table[e][x]
-                if f is None:
-                    continue
-                table[e][x] = None
-                if table[f][x] == e:
-                    table[f][x] = None
-                u, v = find(e), find(f)
-                if table[u][x] is not None:
-                    merge(v, table[u][x])
-                elif table[v][x] is not None:
-                    merge(u, table[v][x])
-                else:
-                    table[u][x] = v
-                    table[v][x] = u
-
-    def scan_and_fill(a, word):
-        idxs = [LETTERS.index(ch) for ch in word]
-        f, i = a, 0
-        b, j = a, len(idxs) - 1
-        while True:
-            while i <= j and table[f][idxs[i]] is not None:
-                f = table[f][idxs[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][idxs[j]] is not None:
-                b = table[b][idxs[j]]
-                j -= 1
-            if j < i:
-                if f != b:
-                    coincidence(f, b)
-                return
-            if j == i:
-                table[f][idxs[i]] = b
-                table[b][idxs[i]] = f
-                return
-            define(f, idxs[i])
-
-    current = 0
-    while current < len(table):
-        if find(current) == current:
-            for rel in relators:
-                if find(current) != current:
-                    break
-                scan_and_fill(current, rel)
-        current += 1
-
-    live = [c for c in range(len(table)) if find(c) == c]
-    return table, live, find
+# the model: each letter as the images of the points (x, s), with
+# (x, s) numbered 2x + s
+_POINTS = tuple((x, s) for x in range(4) for s in range(2))
+_MODEL = {
+    letter: tuple(2 * (x % 4) + s for x, s in (move(*p) for p in _POINTS))
+    for letter, move in (("a", lambda x, s: (-x, s)),
+                         ("b", lambda x, s: (x, 1 - s)),
+                         ("c", lambda x, s: (1 - x, 1 - s)),
+                         ("d", lambda x, s: (1 - x, s)))
+}
 
 
 class Quotient:
@@ -131,7 +63,8 @@ class Quotient:
     Cosets are integers 0..15 with 0 the identity.  rep_word[i] is the
     breadth-first representative word of coset i; parity[i] is its
     a-parity, well defined because every relator has an even number of
-    a letters.
+    a letters.  mult_table[i][j] is the product of cosets i and j and
+    inv_table[i] the inverse of coset i.
     """
 
     def __init__(self, table, rep_words, parity):
@@ -141,9 +74,9 @@ class Quotient:
         self.size = len(table)
         # per coset, the coset each letter leads to
         self._rows = tuple(dict(zip(LETTERS, row)) for row in table)
-        self._inv = [next(j for j in range(self.size)
-                          if self.mult(i, j) == 0)
-                     for i in range(self.size)]
+        self.mult_table = tuple(
+            tuple(self.coset_of(u + v) for v in rep_words) for u in rep_words)
+        self.inv_table = tuple(row.index(0) for row in self.mult_table)
 
     def coset_of(self, word: str) -> int:
         rows = self._rows
@@ -157,13 +90,10 @@ class Quotient:
         return c
 
     def mult(self, i: int, j: int) -> int:
-        c = i
-        for ch in self.rep_words[j]:
-            c = self._rows[c][ch]
-        return c
+        return self.mult_table[i][j]
 
     def inv(self, i: int) -> int:
-        return self._inv[i]
+        return self.inv_table[i]
 
     def even_cosets(self) -> frozenset:
         return frozenset(i for i in range(self.size) if self.parity[i] == 0)
@@ -175,42 +105,40 @@ class Quotient:
 
 
 def build_quotient() -> Quotient:
-    """Run the enumeration and renumber canonically.  Requires exactly
-    16 cosets and the normal generators of K to map to the identity."""
-    table, live, find = _coset_enumeration(_BASE_RELATORS)
-    if len(live) != 16:
-        raise RuntimeError(f"coset enumeration found {len(live)} cosets, "
+    """Number the elements of the model breadth first from the identity,
+    trying the letters in the order a, b, c, d.  Requires exactly 16
+    elements, a-parity well defined along every edge, and every relator
+    and normal generator of K to map to the identity."""
+    identity = tuple(range(len(_POINTS)))
+    number = {identity: 0}
+    order = [identity]
+    rep_words = [""]
+    table = []
+    for head, g in enumerate(order):
+        row = []
+        for x in LETTERS:
+            h = tuple(g[p] for p in _MODEL[x])
+            if h not in number:
+                number[h] = len(order)
+                order.append(h)
+                rep_words.append(rep_words[head] + x)
+            row.append(number[h])
+        table.append(tuple(row))
+    if len(order) != 16:
+        raise RuntimeError(f"the model has {len(order)} elements, "
                            "expected 16")
 
-    # canonical breadth-first renumbering from the identity coset
-    start = find(0)
-    number = {start: 0}
-    order = [start]
-    rep_words = [""]
-    head = 0
-    while head < len(order):
-        c = order[head]
-        head += 1
-        for x in range(4):
-            nxt = find(table[c][x])
-            if nxt not in number:
-                number[nxt] = len(order)
-                order.append(nxt)
-                rep_words.append(rep_words[head - 1] + LETTERS[x])
-    if len(order) != 16:
-        raise RuntimeError("coset table is not connected")
-
-    new_table = tuple(
-        tuple(number[find(table[c][x])] for x in range(4)) for c in order)
     parity = tuple(w.count("a") % 2 for w in rep_words)
     # parity must be consistent along every edge of the table
-    for i in range(16):
-        for x in range(4):
-            flip = 1 if LETTERS[x] == "a" else 0
-            if parity[new_table[i][x]] != parity[i] ^ flip:
+    for row, par in zip(table, parity):
+        for x, nxt in zip(LETTERS, row):
+            if parity[nxt] != par ^ (x == "a"):
                 raise RuntimeError("parity is not well defined")
 
-    q = Quotient(new_table, tuple(rep_words), parity)
+    q = Quotient(tuple(table), tuple(rep_words), parity)
+    for rel in _BASE_RELATORS:
+        if q.coset_of(rel) != 0:
+            raise RuntimeError(f"relator {rel} is nontrivial in the model")
     for gen in K_GENERATORS:
         if q.coset_of(gen) != 0:
             raise RuntimeError(f"normal generator {gen} is nontrivial "

@@ -26,16 +26,15 @@ _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 
 def apply_letter(letter: str, vertex: str) -> str:
-    if letter == "a":
-        if not vertex:
-            return vertex
-        return ("1" if vertex[0] == "0" else "0") + vertex[1:]
-    sec0, sec1 = _SECTIONS[letter]
-    if not vertex:
-        return vertex
-    if vertex[0] == "0":
-        return "0" + apply_word(sec0, vertex[1:])
-    return "1" + apply_word(sec1, vertex[1:])
+    """Walk down the vertex while the section is a star; stop at an
+    identity section, or flip one bit at an 'a'."""
+    for i, bit in enumerate(vertex):
+        if letter == "a":
+            return vertex[:i] + ("1" if bit == "0" else "0") + vertex[i + 1:]
+        if not letter:
+            break
+        letter = _SECTIONS[letter][bit == "1"]
+    return vertex
 
 
 def apply_word(word: str, vertex: str) -> str:

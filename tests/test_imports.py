@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
-private helper the package defines is used somewhere in it, no
-concatenation is reduced from scratch, nothing but the tree-action
-oracle loads numpy, and the decisions load no dataclasses, inspect or
-ast."""
+private helper the package defines is used somewhere in it, every public
+function or class is exported or used, no concatenation is reduced from
+scratch, nothing but the tree-action oracle loads numpy, and the
+decisions load no dataclasses, inspect or ast."""
 
 import ast
 import os
@@ -61,6 +61,34 @@ def test_no_unused_private_helpers():
               for helper, line in _private_defs(tree).items()
               if helper not in used]
     assert unused == []
+
+
+def _unused_public_defs(trees, exported) -> list[str]:
+    """Module-level public functions and classes that are not exported
+    and that no other top-level statement of the package refers to;
+    cli.main is the console-script entry."""
+    tops = [(node, _referenced(node))
+            for tree in trees.values() for node in tree.body]
+    return [f"{name}: {node.name} (line {node.lineno})"
+            for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exported
+            and (name, node.name) != ("cli.py", "main")
+            and not any(node.name in refs
+                        for other, refs in tops if other is not node)]
+
+
+def test_public_names_are_exported_or_used():
+    sample = {"m.py": ast.parse("def f(): pass\ndef g(): return g()\n"
+                                "def h(): pass\nclass K: pass\nh()\n")}
+    assert _unused_public_defs(sample, {"K"}) == ["m.py: f (line 1)",
+                                                  "m.py: g (line 2)"]
+    init = ast.parse((_MODULES[0].parent / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    trees = {p.name: ast.parse(p.read_text()) for p in _MODULES}
+    assert _unused_public_defs(trees, exported) == []
 
 
 def _concatenations_reduced(tree) -> list[int]:

@@ -1,14 +1,12 @@
 """Independent validation oracles: abelianization, witness search, sweep."""
 
-import json
 import random
 
 import pytest
 
 from grigorchuk.conjugacy import are_conjugate
 from grigorchuk.oracle import (abelian_image, conjugate_closure,
-                               find_conjugator, render_report,
-                               report_to_json, validate_small_instances)
+                               find_conjugator, validate_small_instances)
 from grigorchuk.word_problem import equal
 from grigorchuk.words import (WordError, inverse, random_reduced_word,
                               reduce_word)
@@ -84,13 +82,3 @@ def test_small_sweep_has_no_violations():
     assert report["conjugate_pairs"] > 10
     assert report["max_word_len"] == 3
     assert report["witness_budget"] == 12
-
-
-def test_report_rendering():
-    report = validate_small_instances(max_word_len=2, witness_budget=8)
-    text = render_report(report)
-    assert "pairs" in text
-    assert "violation" in text
-    data = json.loads(report_to_json(report))
-    assert data["pairs_checked"] == report["pairs_checked"]
-    assert isinstance(data["violations"], list)

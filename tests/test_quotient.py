@@ -23,6 +23,20 @@ def test_quotient_has_sixteen_elements():
     assert q.rep_words[0] == ""
 
 
+def test_canonical_numbering_is_pinned():
+    # grig coset, grig conj and the lift CSV print these numbers
+    assert standard_quotient().rep_words == (
+        "", "a", "b", "c", "d", "ab", "ac", "ad", "ca", "da", "aca", "ada",
+        "cac", "cad", "acac", "acad")
+
+
+def test_a_model_breaking_a_relator_is_rejected(monkeypatch):
+    model = grigorchuk.quotient._MODEL
+    monkeypatch.setitem(model, "b", model["d"])
+    with pytest.raises(RuntimeError, match="relator bcd"):
+        build_quotient()
+
+
 def test_group_axioms_exhaustively():
     q = standard_quotient()
     for i in range(16):

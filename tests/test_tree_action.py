@@ -29,6 +29,17 @@ def test_generator_actions():
     assert apply_word("b", "0") == "0"       # too shallow to see the flip
 
 
+def test_long_vertices_are_walked_without_recursion():
+    # along 1s the sections of b run b, c, d, b, ...; 4998 of them bring
+    # b back to b, whose section a under the next 0 flips the last bit
+    ones = "1" * 4998
+    assert apply_word("b", ones + "00") == ones + "01"
+    assert apply_word("d", ones + "00") == ones + "00"
+    assert apply_word("ab", ones + "00") == "0" + ones[1:] + "01"
+    assert apply_word("bcd", "1" * 5000) == "1" * 5000
+    assert apply_word("b", "1" * 600) == "1" * 600
+
+
 def test_letters_are_involutions():
     for depth in (1, 2, 3, 4, 5):
         for v in _vertices(depth):
