@@ -4,9 +4,8 @@ Samples random reduced word pairs at geometrically spaced lengths, runs
 the memoized decision on a fresh context per pair (so visited-pair
 counts are not polluted by sharing across samples), and fits log-log
 slopes of tree size and wall time against the length (no numpy needed).
-visited counts the pairs the decision visits, which start from the
-cyclic cores of the two words; tree_size sizes the expanded tree of the
-raw pair.
+visited counts the pairs the decision visits, which are pairs of cyclic
+cores at every node; tree_size sizes the expanded tree of the raw pair.
 """
 
 from __future__ import annotations

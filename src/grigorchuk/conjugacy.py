@@ -16,17 +16,20 @@ pairs:
   * mixed parity: empty.
   * both words of length <= 1: a fixed base table.
 
-The decision starts from the cyclic cores.  K is normal, so with
+Every pair is decided on its cyclic cores.  K is normal, so with
 u = h n h^-1 and v = g m g^-1 an element y conjugates v to u exactly
 when g^-1 y h conjugates m to n; hence
 
-    Q(u, v) = cos(g) * Q(n, m) * cos(h)^-1,
+    Q(u, v) = cos(g) * Q(n, m) * cos(h)^-1.
 
-and q_mask runs the recursion on (n, m) only and translates its mask.
-A literal conjugate x u x^-1 costs one frame strip, and conjugates of
-one core share every visited pair.  Explicit trees and tree sizes stay
-rooted at the raw pair (u, v); their root mask is the same by the
-identity.
+The identity holds for every pair, so it is used at every node: q_mask
+runs the recursion on the cores of the input pair, and each child pair
+of a node is looked up as the pair of its cores (a word of length <= 1
+is its own core), whose mask is translated by the two frame cosets.  The memo is keyed by pairs of
+cores below the root, so a literal conjugate x u x^-1 costs one frame
+strip, and children that are conjugate share every visited pair.
+Explicit trees, tree sizes and word children stay on raw pairs; their
+masks are the same by the identity.
 
 The base table is not written out by hand: the 25 pairs of words of
 length <= 1 are closed under taking children, and the table is the
@@ -86,7 +89,10 @@ class ConjContext:
         self._base: list[bool] = []
         self._children: list[tuple[int, int] | None] = []
         self._sec_cosets: list[tuple[int, int] | None] = []
+        # per word w = g n g^-1: (id of the core n, cos(g))
+        self._cores: list[tuple[int, int] | None] = []
         self._memo: dict[tuple[int, int], int] = {}
+        self._t_cache: dict[tuple[int, int, int], int] = {}
         self.base_table = self._build_base()
 
     # -- interning ---------------------------------------------------
@@ -103,7 +109,16 @@ class ConjContext:
             self._base.append(len(word) <= 1)
             self._children.append(None)
             self._sec_cosets.append(None)
+            self._cores.append(None)
         return wid
+
+    def _core(self, wid: int) -> tuple[int, int]:
+        """The core id and frame coset of an interned (reduced) word."""
+        got = self._cores[wid]
+        if got is None:
+            n, g = cyclic_core(self._words[wid])
+            got = self._cores[wid] = (self.intern(n), self.q.coset_of(g))
+        return got
 
     def _child_ids(self, wid: int) -> tuple[int, int]:
         """Per-coordinate children: the two sections for an even word,
@@ -161,6 +176,24 @@ class ConjContext:
                 if t is not None:
                     out |= 1 << trans[t]
             self._n_cache[key] = out
+        return out
+
+    def _translate(self, mask: int, cg: int, ch: int) -> int:
+        """The mask cos(g) * Q * cos(h)^-1, given cg = cos(g) and
+        ch = cos(h)."""
+        if not mask or not (cg or ch):
+            return mask
+        key = (mask, cg, ch)
+        out = self._t_cache.get(key)
+        if out is None:
+            out = 0
+            mult = self.q.mult_table
+            left = mult[cg]
+            inv_h = self.q.inv_table[ch]
+            for t in range(16):
+                if mask >> t & 1:
+                    out |= 1 << mult[left[t]][inv_h]
+            self._t_cache[key] = out
         return out
 
     # -- base table ----------------------------------------------------
@@ -223,15 +256,10 @@ class ConjContext:
         u = h n h^-1 and v = g m g^-1 it is cos(g) Q(n, m) cos(h)^-1."""
         n, h = cyclic_core(reduce_word(u))
         m, g = cyclic_core(reduce_word(v))
-        core = self._q_rec(self.intern(n), self.intern(m), set())
-        mult = self.q.mult_table
-        left = mult[self.q.coset_of(g)]
-        inv_h = self.q.inv_table[self.q.coset_of(h)]
-        out = 0
-        for t in range(16):
-            if core >> t & 1:
-                out |= 1 << mult[left[t]][inv_h]
-        return out
+        coset = self.q.coset_of
+        return self._translate(
+            self._q_rec(self.intern(n), self.intern(m), set()),
+            coset(g), coset(h))
 
     def _branch(self, iu: int, iv: int) -> tuple[str, tuple]:
         """Node kind of a pair in the decision and its child pairs: an
@@ -286,6 +314,18 @@ class ConjContext:
         return m
 
     def _q_rec(self, iu: int, iv: int, onstack: set) -> int:
+        """Q-mask of the pair (iu, iv), memoized.  Its children are
+        decided on their cores (_core_mask), so below the root the memo
+        is keyed by pairs of cores.
+
+        The recursion ends: a core is a subword of its word, rotated by
+        at most one star, and where that star meets another they merge
+        into the third (bac -> ad), whose weight is at most their sum
+        (gamma_c + gamma_d = gamma_b, the other two sums are larger).
+        So a core's norm is never larger than its word's, and the norm
+        contraction of the children holds for their cores as well.
+        onstack catches any cycle among the pairs of small norm, where
+        contraction does not bite."""
         key = (iu, iv)
         memo = self._memo
         cached = memo.get(key)
@@ -301,10 +341,16 @@ class ConjContext:
                     f"({self._words[iu]!r}, {self._words[iv]!r})")
             onstack.add(key)
             m = self._node_mask(iu, iv, kind, pairs,
-                                lambda pair: self._q_rec(*pair, onstack))
+                                lambda pair: self._core_mask(*pair, onstack))
             onstack.discard(key)
         memo[key] = m
         return m
+
+    def _core_mask(self, iu: int, iv: int, onstack: set) -> int:
+        """Q-mask of a child pair, from the pair of its cores."""
+        n, ch = self._core(iu)
+        m, cg = self._core(iv)
+        return self._translate(self._q_rec(n, m, onstack), cg, ch)
 
     @property
     def visited_pairs(self) -> int:

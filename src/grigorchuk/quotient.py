@@ -22,6 +22,20 @@ generator order a, b, c, d, so the numbering is deterministic but has
 no external meaning.  Consumers must only rely on numbering-invariant
 facts (counts, parities, products).
 
+The coset of a word is read off its letter counts rather than walked
+letter by letter.  Every element of the model is x -> e*x + t,
+s -> s + f with e = +-1, t mod 4 and f mod 2, and 2 * 4 * 2 = 16, so
+the triple (e, t, f) is the element.  b moves only s, and c moves x as
+d does, so after deleting b and mapping c to d the x-part is a product
+of k reflections x -> -x (a) and x -> 1 - x (d): e is the parity of k,
+and t is, up to a sign fixed by the order of composition, the number
+of d at even positions less the number at odd positions.  f is the
+parity of #b + #c.  So (k mod 2, (2 * even - total) mod 4,
+(#b + #c) mod 2) takes 16 values, one per element.  The triple of a
+word with one more letter depends only on the word's triple and that
+letter, so checking the map on the 16 x 4 edges of the product table
+checks it on every word.
+
 The lift table records which pairs of cosets of the two sections of an
 even word can occur and what coset the word itself then lies in.  It
 is built by walking products of the six factors b, c, d, aba, aca, ada
@@ -39,7 +53,7 @@ import io
 from functools import lru_cache
 
 from .splitting import split
-from .words import LETTERS, WordError, join_reduced
+from .words import LETTERS, check_letters, join_reduced
 
 _BASE_RELATORS = ("aa", "bb", "cc", "dd", "bcd", "abab", "adadadad")
 
@@ -55,6 +69,26 @@ _MODEL = {
                          ("c", lambda x, s: (1 - x, 1 - s)),
                          ("d", lambda x, s: (1 - x, s)))
 }
+# the x-part of the model: b acts as 1 and c as d
+_X_PART = bytes.maketrans(b"c", b"d")
+
+
+def _model_element(word: str) -> tuple:
+    """The model element of a word, as the images of the points."""
+    g = tuple(range(len(_POINTS)))
+    for x in word:
+        g = tuple(g[p] for p in _MODEL[x])
+    return g
+
+
+def _count_key(word: str) -> int:
+    """The triple (k mod 2, (2 * even - total) mod 4, (#b + #c) mod 2)
+    of a word over a-d, packed into 0..15 (see the module docstring)."""
+    x_part = word.encode().translate(_X_PART, b"b")
+    total = x_part.count(b"d")
+    twist = (2 * x_part[::2].count(b"d") - total) % 4
+    flip = (len(word) - len(x_part) + word.count("c")) % 2
+    return len(x_part) % 2 + 2 * twist + 8 * flip
 
 
 class Quotient:
@@ -67,27 +101,21 @@ class Quotient:
     inv_table[i] the inverse of coset i.
     """
 
-    def __init__(self, table, rep_words, parity):
+    def __init__(self, table, rep_words, parity, by_key):
         self.table = table
         self.rep_words = rep_words
         self.parity = parity
         self.size = len(table)
-        # per coset, the coset each letter leads to
-        self._rows = tuple(dict(zip(LETTERS, row)) for row in table)
+        # by_key[_count_key(w)] is the coset of w
+        self._by_key = by_key
         self.mult_table = tuple(
             tuple(self.coset_of(u + v) for v in rep_words) for u in rep_words)
         self.inv_table = tuple(row.index(0) for row in self.mult_table)
 
     def coset_of(self, word: str) -> int:
-        rows = self._rows
-        c = 0
-        try:
-            for ch in word:
-                c = rows[c][ch]
-        except KeyError:
-            raise WordError(
-                f"invalid letter {ch!r} in word {word!r}") from None
-        return c
+        # letters first: encode() would fail on a lone surrogate
+        check_letters(word)
+        return self._by_key[_count_key(word)]
 
     def mult(self, i: int, j: int) -> int:
         return self.mult_table[i][j]
@@ -98,18 +126,14 @@ class Quotient:
     def even_cosets(self) -> frozenset:
         return frozenset(i for i in range(self.size) if self.parity[i] == 0)
 
-    def conjugate_in_quotient(self, i: int, j: int) -> bool:
-        """Whether cosets i and j are conjugate as quotient elements."""
-        return any(self.mult(self.mult(self.inv(g), i), g) == j
-                   for g in range(self.size))
-
 
 def build_quotient() -> Quotient:
     """Number the elements of the model breadth first from the identity,
     trying the letters in the order a, b, c, d.  Requires exactly 16
-    elements, a-parity well defined along every edge, and every relator
-    and normal generator of K to map to the identity."""
-    identity = tuple(range(len(_POINTS)))
+    elements, a-parity well defined along every edge, every relator and
+    normal generator of K to be trivial in the model, and the letter
+    counts to give each word its element along every edge."""
+    identity = _model_element("")
     number = {identity: 0}
     order = [identity]
     rep_words = [""]
@@ -135,15 +159,23 @@ def build_quotient() -> Quotient:
             if parity[nxt] != par ^ (x == "a"):
                 raise RuntimeError("parity is not well defined")
 
-    q = Quotient(tuple(table), tuple(rep_words), parity)
     for rel in _BASE_RELATORS:
-        if q.coset_of(rel) != 0:
+        if _model_element(rel) != identity:
             raise RuntimeError(f"relator {rel} is nontrivial in the model")
     for gen in K_GENERATORS:
-        if q.coset_of(gen) != 0:
+        if _model_element(gen) != identity:
             raise RuntimeError(f"normal generator {gen} is nontrivial "
                                "in the quotient")
-    return q
+
+    by_key = [None] * 16
+    for i, w in enumerate(rep_words):
+        by_key[_count_key(w)] = i
+    for w, row in zip(rep_words, table):
+        for x, nxt in zip(LETTERS, row):
+            if by_key[_count_key(w + x)] != nxt:
+                raise RuntimeError(f"the letter counts of {w + x} do not "
+                                   "give its element")
+    return Quotient(tuple(table), tuple(rep_words), parity, tuple(by_key))
 
 
 class LiftTable:

@@ -135,6 +135,19 @@ def test_conjugate_words_have_equal_abelianization():
     assert seen_conj > 5
 
 
+def _conjugate_in_quotient(q, i, j):
+    """Whether cosets i and j are conjugate as quotient elements."""
+    return any(q.mult(q.mult(q.inv(g), i), g) == j for g in range(q.size))
+
+
+def test_quotient_conjugacy_check():
+    q = standard_quotient()
+    assert _conjugate_in_quotient(q, q.coset_of("b"), q.coset_of("b"))
+    # b and c have different images in the order-16 quotient and are
+    # not conjugate there
+    assert not _conjugate_in_quotient(q, q.coset_of("b"), q.coset_of("c"))
+
+
 def test_nonempty_q_requires_quotient_conjugacy():
     q = standard_quotient()
     rng = random.Random(5)
@@ -142,7 +155,7 @@ def test_nonempty_q_requires_quotient_conjugacy():
         u = random_reduced_word(rng, rng.randrange(0, 10))
         v = random_reduced_word(rng, rng.randrange(0, 10))
         if q_set(u, v):
-            assert q.conjugate_in_quotient(q.coset_of(u), q.coset_of(v))
+            assert _conjugate_in_quotient(q, q.coset_of(u), q.coset_of(v))
 
 
 def test_q_set_members_conjugate_in_quotient():
@@ -281,6 +294,21 @@ def test_child_norm_bounds():
                 assert (bound_odd - lhs).sign() >= 0
 
 
+def test_core_norm_is_at_most_the_word_norm():
+    # the decision reads every child pair on its cores, so the norm
+    # contraction that ends the recursion must hold for cores too; the
+    # rotation of a core can merge two stars (bac -> ad)
+    rng = random.Random(16)
+    words = enumerate_reduced(8) + [random_reduced_word(rng, n)
+                                    for n in range(9, 400, 3)]
+    merged = 0
+    for w in words:
+        core = cyclic_core(w)[0]
+        assert (norm(w) - norm(core)).sign() >= 0, w
+        merged += len(core) % 2 != len(w) % 2
+    assert merged
+
+
 def test_shared_and_fresh_contexts_agree():
     rng = random.Random(10)
     shared = shared_context()
@@ -314,12 +342,40 @@ def test_conjugacy_consistent_with_equality():
 def test_intern_of_a_foreign_letter_records_nothing():
     ctx = ConjContext()
     columns = (ctx._ids, ctx._words, ctx._parity, ctx._base,
-               ctx._children, ctx._sec_cosets)
+               ctx._children, ctx._sec_cosets, ctx._cores)
     before = len(ctx._words)
     for _ in range(2):
         with pytest.raises(ValueError):
             ctx.intern("ax")
-        assert [len(column) for column in columns] == [before] * 6
+        assert [len(column) for column in columns] == [before] * 7
+
+
+def test_q_mask_matches_the_raw_recursion_on_short_words(raw_q_mask):
+    # every pair of reduced words of up to 5 letters, in one context
+    words = enumerate_reduced(5)
+    assert len(words) == 77
+    ctx = ConjContext()
+    for u in words:
+        for v in words:
+            assert ctx.q_mask(u, v) == raw_q_mask(u, v), (u, v)
+
+
+def test_q_mask_matches_the_raw_recursion_on_long_families(raw_q_mask):
+    # (u, x^-1 u x), the same padded by the relator (ad)^4 so that the
+    # frame does not strip, and the hard negative (u, x u adad x^-1),
+    # with |u| = |x| = n/2
+    rng = random.Random(15)
+    for n in (2 ** 8, 2 ** 10, 2 ** 12):
+        for _ in range(2):
+            u = random_reduced_word(rng, n // 2)
+            x = random_reduced_word(rng, n // 2)
+            pairs = [(u, reduce_word(inverse(x) + u + x)),
+                     (u, reduce_word(inverse(x) + u + x + "ad" * 4)),
+                     (u, reduce_word(x + u + "adad" + inverse(x)))]
+            ctx = ConjContext()
+            masks = [ctx.q_mask(*pair) for pair in pairs]
+            assert masks == [raw_q_mask(*pair) for pair in pairs], n
+            assert masks[0] and masks[1]
 
 
 def test_conjugates_with_one_core_share_the_memo():

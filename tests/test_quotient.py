@@ -1,7 +1,9 @@
 """Order-16 quotient, coset arithmetic, and the section-pair lift table."""
 
 import random
+import re
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -97,6 +99,57 @@ def test_coset_of_is_a_homomorphism():
 def test_coset_of_a_foreign_letter_names_letter_and_word():
     with pytest.raises(WordError, match="'x' in word 'abxa'"):
         standard_quotient().coset_of("abxa")
+    # letters are checked before the word is encoded, which a lone
+    # surrogate would fail with a UnicodeEncodeError
+    for word, letter in (("ab\ud800", "\ud800"), ("\udfffa", "\udfff"),
+                         ("abé", "é"), ("aB", "B")):
+        with pytest.raises(WordError,
+                           match=re.escape(f"{letter!r} in word {word!r}")):
+            standard_quotient().coset_of(word)
+
+
+def _table_walk(q):
+    """coset_of by walking the product table letter by letter from the
+    identity."""
+    rows = [dict(zip("abcd", row)) for row in q.table]
+
+    def walk(word):
+        c = 0
+        for ch in word:
+            c = rows[c][ch]
+        return c
+
+    return walk
+
+
+def test_coset_of_matches_the_table_walk_on_short_words():
+    q = standard_quotient()
+    walk = _table_walk(q)
+    count = 0
+    for n in range(9):
+        for letters in product("abcd", repeat=n):
+            word = "".join(letters)
+            assert q.coset_of(word) == walk(word), word
+            count += 1
+    assert count == (4 ** 9 - 1) // 3
+
+
+def test_coset_of_matches_the_table_walk_on_long_unreduced_words():
+    q = standard_quotient()
+    walk = _table_walk(q)
+    rng = random.Random(2)
+    for _ in range(2000):
+        word = "".join(rng.choices("abcd", k=rng.randrange(5001)))
+        assert q.coset_of(word) == walk(word)
+
+
+def test_a_count_map_missing_an_element_is_rejected(monkeypatch):
+    # c left as it is in the x-part: the counts no longer see that c
+    # moves x, and the edge check finds a word they place wrongly
+    monkeypatch.setattr(grigorchuk.quotient, "_X_PART",
+                        bytes.maketrans(b"", b""))
+    with pytest.raises(RuntimeError, match="letter counts of"):
+        build_quotient()
 
 
 def test_rep_words_hit_their_own_cosets():
@@ -139,14 +192,6 @@ def test_quotient_soundness_on_small_words():
         for w in enumerate_reduced(n, min_len=n):
             if q.coset_of(w) != 0:
                 assert not is_trivial(w)
-
-
-def test_quotient_conjugacy_check():
-    q = standard_quotient()
-    assert q.conjugate_in_quotient(q.coset_of("b"), q.coset_of("b"))
-    # b and c have different images in the order-16 quotient and are
-    # not conjugate there
-    assert not q.conjugate_in_quotient(q.coset_of("b"), q.coset_of("c"))
 
 
 def test_rebuild_is_deterministic():
