@@ -117,7 +117,9 @@ class ConjContext:
         got = self._cores[wid]
         if got is None:
             n, g = cyclic_core(self._words[wid])
-            got = self._cores[wid] = (self.intern(n), self.q.coset_of(g))
+            # coset 0 is the identity: an empty frame needs no lookup
+            got = self._cores[wid] = (self.intern(n),
+                                      self.q.coset_of(g) if g else 0)
         return got
 
     def _child_ids(self, wid: int) -> tuple[int, int]:

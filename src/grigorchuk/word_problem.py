@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 
 from .splitting import _sections
-from .words import (a_parity, cyclic_normalize, display, inverse,
-                    join_reduced, reduce_word)
+from .words import (a_parity, cyclic_core, display, inverse, join_reduced,
+                    reduce_word)
 
 
 def is_trivial(word: str) -> bool:
@@ -32,8 +32,10 @@ def is_trivial(word: str) -> bool:
 def _trivial_reduced(w: str, node: WpNode | None = None) -> bool:
     """The decision for a word that is reduced or of odd a-parity.  Given
     a node for w, it records itself there: children per split, leaf marks."""
+    # w is reduced and even here, so its core needs none of the input
+    # checks of cyclic_normalize
     while len(w) > 1 and a_parity(w) == 0:
-        w, _ = cyclic_normalize(w)
+        w, _ = cyclic_core(w)
         if len(w) > 1:
             w0, w1 = _sections(w)
             left = None

@@ -8,16 +8,37 @@ b, c, d.  is_reduced tests that alternation on the two interleaved
 letter slices, and reduce_word returns a word that passes it as it is.
 Any other word is cut at 'a' into runs of stars; each run is one element
 of the Klein group {1, b, c, d}, coded as two bits so that a product is
-an xor, and one stack step per run cancels the pair of 'a' around every
-run that multiplies out to 1.  In a product of two reduced words only
-the seam can rewrite: join_reduced cancels equal letters across it and
-merges at most one pair of stars.  The empty word is displayed as "1".
+an xor, and a stack of run codes cancels the pair of 'a' around every
+run that multiplies out to 1.
+
+reduce_word takes one of two paths by the length of the word.  Below
+_LONG letters it cuts the word with str.split and takes one Python
+stack step per run.  From _LONG letters on it computes every run's code
+with whole-word operations in C: the letters become code bytes, one
+integer holds them, and ceil(log2 n) shift-and-xor steps give every
+prefix xor, so the codes cost O(n log n) bit operations and no Python
+step per letter or run.  The codes are then cut at the identity runs,
+and the runs between two identity runs go onto the stack whole: Python
+steps are spent only per identity run, and per run that cancels in the
+cascade one can start.  Each path has a cost the other lacks, Python
+steps over every run against a dozen whole-word passes.  On the
+unreduced sections of random reduced words (medians of 41 alternating
+timings on a 2-vCPU virtual machine) the per-run loop took 8.3 µs at
+53 letters against 9.6 µs, 9.9 µs at 67 letters against 10.3 µs, then
+lost: 11.4 µs at 80 letters against 10.4 µs, 14.4 µs against 11.5 µs
+at 107 letters and 0.98 ms against 0.37 ms at 13,651 letters.  _LONG
+is 72, at that crossover.  The per-run loop is also the reference that
+tests hold the long path to.
+
+In a product of two reduced words only the seam can rewrite:
+join_reduced cancels equal letters across it and merges at most one
+pair of stars.  The empty word is displayed as "1".
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import islice, product
 from math import lcm
 
 from .algebraic import (GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D, AlgebraicValue,
@@ -39,6 +60,16 @@ _STAR_OF_CODE = ("", "b", "c", "d")
 # the code of every run of up to 4 stars, 121 runs
 _RUN_CODE = {run: _run_code(run) for n in range(5)
              for run in map("".join, product(STARS, repeat=n))}
+# words of at least this many letters take the whole-word path of
+# reduce_word (the crossover measured in the module docstring)
+_LONG = 72
+# the letters as code bytes, and 'a' as bit 2 to mark its position
+_CODE_BYTE = bytes.maketrans(b"abcd", b"\0\1\2\3")
+_A_MARK = bytes.maketrans(b"abcd", b"\4\0\0\0")
+_UNMARKED = bytes(range(4))
+# a code byte back to its star; bit 2 marks the first run, and an
+# identity run ("-") is never written out
+_STAR_BYTE = bytes.maketrans(bytes(range(8)), b"-bcd-bcd")
 _DROP_LETTERS = str.maketrans("", "", LETTERS)
 # _WEIGHTS[i]: the c_i of GAMMA_A..GAMMA_D, over the denominator _WEIGHT_DEN
 _COEFFS = [g.coefficients() for g in (GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D)]
@@ -72,11 +103,16 @@ def display(word: str) -> str:
 
 def reduce_word(word: str) -> str:
     """Canonical reduced form.  A reduced word is returned as it is;
-    any other word is cut at 'a' into runs of stars and takes one stack
-    step per run: a run that multiplies out to 1 between two 'a' lets
-    them cancel, so the runs on either side merge (t a 1 a r -> t.r)."""
+    any other word is cut at 'a' into runs of stars, and a run that
+    multiplies out to 1 between two 'a' lets them cancel, so the runs on
+    either side merge (t a 1 a r -> t.r).  Below _LONG letters that
+    takes one stack step per run; longer words get their run codes from
+    whole-word operations in C and take a stack step only per identity
+    run (_reduce_long)."""
     if is_reduced(word):
         return word
+    if len(word) >= _LONG:
+        return _reduce_long(word)
     # stack[i] is the code of a run, with one 'a' between neighbours;
     # only the first and the top entry can be 1
     stack: list[int] = []
@@ -90,6 +126,68 @@ def reduce_word(word: str) -> str:
         else:
             stack.append(code)
     return "a".join([_STAR_OF_CODE[code] for code in stack])
+
+
+def _run_codes(word: str) -> bytes:
+    """The code of each run of stars that 'a' cuts a word over a-d
+    into, one byte per run in order, from whole-word operations in C."""
+    raw = word.encode()
+    n = len(raw)
+    # Big-endian, so a right shift by s bytes moves the byte of letter i
+    # to letter i + s.  After j steps, shifting by 1, 2, 4, ... bytes,
+    # byte i is the xor of the codes of the 2^j letters up to i, and in
+    # the end of letters 0..i; an xor never carries into the next byte.
+    prefix = int.from_bytes(raw.translate(_CODE_BYTE), "big")
+    shift = 8
+    while shift < 8 * n:
+        prefix ^= prefix >> shift
+        shift *= 2
+    # the prefixes at the 'a's, in order, with bit 2 set: the others
+    # have no bit 2 and are deleted
+    marked = prefix | int.from_bytes(raw.translate(_A_MARK), "big")
+    at_a = marked.to_bytes(n, "big").translate(None, _UNMARKED)
+    # a run's code is the xor of the prefixes at its two ends: 0 before
+    # the first run, and the whole word's after the last
+    before = int.from_bytes(b"\4" + at_a, "big")
+    after = int.from_bytes(at_a + bytes((prefix & 3 | 4,)), "big")
+    return (before ^ after).to_bytes(len(at_a) + 1, "big")
+
+
+def _reduce_long(word: str) -> str:
+    """The reduced form of a nonempty word over a-d, with Python steps
+    only where an identity run meets the stack."""
+    # stack[i] is the code of a run, with one 'a' between neighbours.
+    # The first entry carries bit 2, so it is never 0 and only the top
+    # can be an identity run: one that is interior, so its two 'a'
+    # cancel when the next run arrives.
+    segments = _run_codes(word).split(b"\0")
+    stack = bytearray(segments[0] or b"\0" + segments[1])
+    stack[0] |= 4
+    # each later segment is the runs after one identity run
+    for segment in islice(segments, 1 if segments[0] else 2, None):
+        if not stack[-1]:
+            # t a 1 a 1: the top's two 'a' cancel and t.1 is t again
+            stack.pop()
+            stack += segment
+        elif segment:
+            # t a 1 a r: the 'a' cancel and t.r is the new top; while
+            # that is 1 it cancels with the next run in turn
+            stack[-1] ^= segment[0]
+            i = 1
+            while not stack[-1] and i < len(segment):
+                stack.pop()
+                stack[-1] ^= segment[i]
+                i += 1
+            stack += segment[i:]
+        else:
+            stack.append(0)
+    # stars at the even places, 'a' between; an identity run can be
+    # left only at either end, where it is empty
+    out = bytearray(b"a") * (2 * len(stack) - 1)
+    out[::2] = stack.translate(_STAR_BYTE)
+    start = 1 if stack[0] == 4 else 0
+    stop = len(out) if stack[-1] & 3 else len(out) - 1
+    return out[start:stop].decode()
 
 
 def is_reduced(word: str) -> bool:

@@ -13,6 +13,7 @@ cyclic cores at every node is the mask of the recursion on raw pairs
 abelian image, and conjugacy is symmetric.
 """
 
+import random
 from itertools import permutations, product
 
 import pytest
@@ -27,9 +28,9 @@ from grigorchuk.splitting import split, split_shifted
 from grigorchuk.tree_action import (apply_word, is_trivial_at_depth,
                                     oracle_depth)
 from grigorchuk.word_problem import equal, is_trivial
-from grigorchuk.words import (STARS, WordError, a_parity, cyclic_core,
-                              cyclic_normalize, inverse, is_reduced,
-                              join_reduced, reduce_word)
+from grigorchuk.words import (_LONG, STARS, WordError, a_parity,
+                              cyclic_core, cyclic_normalize, inverse,
+                              is_reduced, join_reduced, reduce_word)
 
 # section letters of a single star; a triple "a u a" swaps them
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
@@ -109,17 +110,43 @@ def _reference_reduce(word):
     return "".join(out)
 
 
+def _cascade(n, changed=None):
+    """x + inverse(x) for a random reduced x of n letters (n odd) that
+    begins and ends with 'a', so that the runs cancel pairwise from the
+    centre out; with the star at index changed of inverse(x) replaced,
+    the cancelling stops there and that star merges with its partner."""
+    x = "a" + "a".join(random.Random(n).choices(STARS, k=n // 2)) + "a"
+    v = inverse(x)
+    if changed is not None:
+        v = v[:changed] + STARS.replace(v[changed], "")[0] + v[changed + 1:]
+    return x + v
+
+
 @given(st.lists(st.one_of(st.text(alphabet=STARS, min_size=5, max_size=12),
                           st.text(alphabet="a", min_size=1, max_size=3),
                           st.text(alphabet="abcd", max_size=8),
                           near_inverses(reduced_words()).map(
+                              lambda case: case[0] + case[1]),
+                          near_inverses(reduced_words(max_size=512)).map(
                               lambda case: case[0] + case[1])),
                 max_size=8).map("".join))
 @example(_SHORT_RUNS)
+@example(_SHORT_RUNS * 3)
+@example(_cascade(1025, changed=1023))
+@example(_cascade(1025, changed=513))
+@example(_cascade(1025))
+@example(_cascade(1025) + "a")
+@example("a" + ("bdacab" * _LONG)[:_LONG - 3] + "a")
+@example("a" + ("bdacab" * _LONG)[:_LONG - 2] + "a")
+@example("a".join(["bcdbcdb", "dddddd", "bc" * 10, "", "cbdcbdc"] * 4))
 def test_reduce_word_matches_letter_stack_reference(word):
     # pieces: star runs past the 4-letter table, runs of 'a' (also at
-    # either end), short text and words that cancel deeply; the example
-    # holds every run that reduce_word looks up rather than counts
+    # either end), short text and words that cancel deeply, some of
+    # them past _LONG letters.  The examples hold every run that
+    # reduce_word looks up rather than counts, cascades over 2,050
+    # letters (stopping at the outermost star or half way, and
+    # collapsing to "" and to "a"), words on either side of _LONG that
+    # begin and end with 'a', and a long word with runs of 5 to 20 stars.
     assert reduce_word(word) == _reference_reduce(word)
 
 

@@ -6,12 +6,15 @@ from itertools import product
 import pytest
 
 from grigorchuk.algebraic import GAMMA_A, GAMMA_B, GAMMA_C, GAMMA_D
+from grigorchuk.splitting import _sections
 from grigorchuk.word_problem import equal
-from grigorchuk.words import (WordError, a_parity, check_letters,
-                              compare_norm, cyclic_core, cyclic_normalize,
-                              display, enumerate_reduced, inverse,
-                              is_reduced, join_reduced, letter_counts, norm,
-                              parse_word, random_reduced_word, reduce_word)
+from grigorchuk import words as words_module
+from grigorchuk.words import (WordError, _reduce_long, a_parity,
+                              check_letters, compare_norm, cyclic_core,
+                              cyclic_normalize, display, enumerate_reduced,
+                              inverse, is_reduced, join_reduced,
+                              letter_counts, norm, parse_word,
+                              random_reduced_word, reduce_word)
 
 
 def test_parse_and_display():
@@ -106,6 +109,29 @@ def test_reduced_words_alternate():
         assert reduce_word(w) == w
         for x, y in zip(w, w[1:]):
             assert (x == "a") != (y == "a")
+
+
+def test_long_path_matches_the_per_run_loop_on_long_words(monkeypatch):
+    # lengths no property test reaches: the sections of random even
+    # reduced words of 2^16 letters, and p ab p and the palindrome p dd p
+    # for the nested palindrome p = p_15, p_{k+1} = p_k c_k p_k, whose
+    # halves cancel level by level in cascades of every depth
+    rng = random.Random(16)
+    words = []
+    while len(words) < 6:
+        word = random_reduced_word(rng, 2 ** 16)
+        if a_parity(word) == 0:
+            words += _sections(word)
+    palindrome = ""
+    for k in range(15):
+        palindrome += "abcd"[k % 4] + palindrome
+    words += [palindrome + "ab" + palindrome, palindrome + "dd" + palindrome]
+    assert len(words[-1]) == 2 ** 16
+    assert not any(map(is_reduced, words))
+    long_path = [_reduce_long(word) for word in words]
+    # past every length here, reduce_word takes the per-run loop
+    monkeypatch.setattr(words_module, "_LONG", 2 ** 17)
+    assert long_path == [reduce_word(word) for word in words]
 
 
 def test_reduction_confluence_random_rewrites():
