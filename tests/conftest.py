@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from grigorchuk.conjugacy import ConjContext
-from grigorchuk.words import reduce_word
+from grigorchuk.tree_action import apply_letter
+from grigorchuk.words import LETTERS, reduce_word
 
 
 @pytest.fixture
@@ -54,3 +55,40 @@ def raw_q_mask():
                    set())
 
     return q_mask
+
+
+@pytest.fixture(scope="session")
+def level_perm_trivial():
+    """is_trivial_at_depth by whole-level permutations: each letter's
+    action on the 2^depth vertices of one level as a numpy array, built
+    from apply_letter, and composed one letter at a time.  A reference
+    for small depths only: it costs O(|word| 2^depth) and keeps every
+    level it has built."""
+    import numpy as np
+
+    # depth -> {letter, or "" for the identity: its level permutation}
+    perm_cache: dict[int, dict] = {}
+
+    def _level_perms(depth: int) -> dict:
+        perms = perm_cache.get(depth)
+        if perms is None:
+            count = 1 << depth
+            perms = {"": np.arange(count, dtype=np.int64)}
+            for letter in LETTERS:
+                images = [
+                    int(apply_letter(letter, format(v, f"0{depth}b")), 2)
+                    for v in range(count)
+                ]
+                perms[letter] = np.array(images, dtype=np.int64)
+            perm_cache[depth] = perms
+        return perms
+
+    def _identity_at_level(word: str, depth: int) -> bool:
+        # an automorphism that fixes a level fixes every shallower one
+        perms = _level_perms(depth)
+        current = identity = perms[""]
+        for letter in reversed(word):
+            current = perms[letter][current]
+        return bool((current == identity).all())
+
+    return _identity_at_level

@@ -30,12 +30,16 @@ from grigorchuk.tree_action import (apply_word, is_trivial_at_depth,
 from grigorchuk.word_problem import equal, is_trivial
 from grigorchuk.words import (_LONG, STARS, WordError, a_parity,
                               cyclic_core, cyclic_normalize, inverse,
-                              is_reduced, join_reduced, reduce_word)
+                              is_reduced, join_reduced, random_reduced_word,
+                              reduce_word)
 
 # section letters of a single star; a triple "a u a" swaps them
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}
 
 _RELATORS = ("aa", "bcd", "abababab", "adadadad", "adacac" * 4)
+
+# Lysenok's substitution; it maps relators to relators
+_SIGMA = str.maketrans({"a": "aca", "b": "d", "c": "b", "d": "c"})
 
 # rs -> t for distinct r, s, t in {b, c, d}
 _MERGE = {(r, s): t for r, s, t in permutations(STARS)}
@@ -285,6 +289,44 @@ def test_is_trivial_matches_tree_oracle(pieces):
     word = "".join(pieces)
     depth = oracle_depth(max(len(reduce_word(word)), 1))
     assert is_trivial(word) == is_trivial_at_depth(word, depth)
+
+
+@st.composite
+def long_words(draw, max_size=2 ** 14):
+    """(kind, word) with at most max_size letters, built from a drawn
+    random generator: a product of conjugated sigma-images of (ad)^4
+    and (adacac)^4 ("product", trivial), the same product with abab
+    inserted at a random cut ("cut"), or a random reduced word made of
+    even a-parity by one more 'a' ("even")."""
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(("product", "cut", "even")))
+    length = draw(st.integers(1, max_size - 4))
+    if kind == "even":
+        word = random_reduced_word(rng, length)
+        return kind, word + "a" * a_parity(word)
+    word = ""
+    while True:
+        r = rng.choice(("ad" * 4, "adacac" * 4))
+        for _ in range(rng.randrange(6)):
+            r = reduce_word(r.translate(_SIGMA))
+        x = random_reduced_word(rng, rng.randrange(length // 4 + 1))
+        longer = join_reduced(word, reduce_word(inverse(x) + r + x))
+        if len(longer) > length:
+            break
+        word = longer
+    if kind == "cut":
+        cut = rng.randrange(len(word) + 1)
+        word = word[:cut] + "abab" + word[cut:]
+    return kind, word
+
+
+@settings(deadline=None, max_examples=30)
+@given(long_words())
+def test_is_trivial_matches_tree_oracle_on_long_words(kind_word):
+    kind, word = kind_word
+    answer = is_trivial(word)
+    assert answer == is_trivial_at_depth(word, oracle_depth(len(word)))
+    assert answer or kind != "product"
 
 
 @given(st.text(alphabet="abcd", max_size=60),

@@ -1,6 +1,7 @@
 """Tree action semantics and the triviality oracle."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -111,6 +112,49 @@ def test_is_trivial_at_depth_known_words():
     assert is_trivial_at_depth("d", 2)   # d is invisible above depth 3
     with pytest.raises(ValueError):
         is_trivial_at_depth("b", 0)
+
+
+def test_is_trivial_at_depth_matches_level_permutations(level_perm_trivial):
+    # all 5,461 words of up to 6 letters, against the numpy reference
+    answers = set()
+    for n in range(7):
+        for letters in product("abcd", repeat=n):
+            w = "".join(letters)
+            for depth in (1, 2, 3, 5, 8):
+                answer = is_trivial_at_depth(w, depth)
+                assert answer == level_perm_trivial(w, depth), (w, depth)
+                answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_is_trivial_at_depth_matches_level_permutations_on_longer_words(
+        level_perm_trivial):
+    # the shortest nontrivial relators have 8 letters, (ac)^4 among them:
+    # products of conjugated relators, and random words
+    rng = random.Random(5)
+    relators = ("aa", "bcd", "ad" * 4, "ac" * 4, "adacac" * 4)
+    answers = set()
+    for i in range(300):
+        if i % 2:
+            w = "".join(rng.choices("abcd", k=rng.randrange(60)))
+        else:
+            w = ""
+            for _ in range(rng.randrange(1, 4)):
+                x = "".join(rng.choices("abcd", k=rng.randrange(12)))
+                w += x[::-1] + rng.choice(relators) + x
+        for depth in (4, 8, 11):
+            answer = is_trivial_at_depth(w, depth)
+            assert answer == level_perm_trivial(w, depth), (w, depth)
+            answers.add(answer)
+    assert answers == {True, False}
+
+
+def test_is_trivial_at_depth_far_below_any_level_permutation():
+    # 2^64 vertices: the sections die out after a few levels
+    assert is_trivial_at_depth("adadadad", 64)
+    assert is_trivial_at_depth("abab" * 8, 64)
+    assert not is_trivial_at_depth("abab" * 4, 64)
+    assert not is_trivial_at_depth("d" + "bcd" * 1000, 64)
 
 
 def test_oracle_depth():
