@@ -87,10 +87,6 @@ class AlgebraicValue:
         n0, n1, n2, den = self._ints
         return Fraction(n0, den), Fraction(n1, den), Fraction(n2, den)
 
-    c0 = property(lambda self: self.coefficients()[0])
-    c1 = property(lambda self: self.coefficients()[1])
-    c2 = property(lambda self: self.coefficients()[2])
-
     def __repr__(self):
         return "AlgebraicValue({!r}, {!r}, {!r})".format(*self.coefficients())
 

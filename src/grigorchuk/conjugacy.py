@@ -51,7 +51,7 @@ from itertools import count
 
 from .algebraic import GAMMA_A, GAMMA_D
 from .quotient import standard_lift_table, standard_quotient
-from .splitting import split, split_shifted
+from .splitting import _sections
 from .word_problem import _Node
 from .words import (a_parity, check_letters, cyclic_core, display,
                     enumerate_reduced, join_reduced, norm, reduce_word)
@@ -81,12 +81,10 @@ class ConjContext:
                                   for t in range(16)))
         self._s_cache: dict[tuple[int, int, bool], int] = {}
         self._n_cache: dict[tuple[int, int, int, bool], int] = {}
-        # interned words: id -> (word, parity, len<=1, child ids,
-        #                        section cosets)
+        # interned words: id -> (word, parity, child ids, section cosets)
         self._ids: dict[str, int] = {}
         self._words: list[str] = []
         self._parity: list[int] = []
-        self._base: list[bool] = []
         self._children: list[tuple[int, int] | None] = []
         self._sec_cosets: list[tuple[int, int] | None] = []
         # per word w = g n g^-1: (id of the core n, cos(g))
@@ -106,7 +104,6 @@ class ConjContext:
             self._ids[word] = wid
             self._words.append(word)
             self._parity.append(a_parity(word))
-            self._base.append(len(word) <= 1)
             self._children.append(None)
             self._sec_cosets.append(None)
             self._cores.append(None)
@@ -124,15 +121,18 @@ class ConjContext:
 
     def _child_ids(self, wid: int) -> tuple[int, int]:
         """Per-coordinate children: the two sections for an even word,
-        the two section products for an odd one."""
+        the two section products for an odd one.  The decisions intern
+        reduced words only, and a word's parity is stored with it, so
+        the sections are taken without the input checks of split and
+        split_shifted."""
         ch = self._children[wid]
         if ch is None:
             w = self._words[wid]
             if self._parity[wid] == 0:
-                w0, w1 = split(w)
+                w0, w1 = map(reduce_word, _sections(w))
                 ch = (self.intern(w0), self.intern(w1))
             else:
-                w0, w1 = split_shifted(w)
+                w0, w1 = map(reduce_word, _sections(join_reduced(w, "a")))
                 self._sec_cosets[wid] = (self.q.coset_of(w0),
                                          self.q.coset_of(w1))
                 ch = (self.intern(join_reduced(w0, w1)),
@@ -267,7 +267,7 @@ class ConjContext:
         """Node kind of a pair in the decision and its child pairs: an
         equal-parity pair of words of length <= 1 is a base-table leaf,
         any other pair expands."""
-        if (self._base[iu] and self._base[iv]
+        if (len(self._words[iu]) <= 1 and len(self._words[iv]) <= 1
                 and self._parity[iu] == self._parity[iv]):
             return "leaf-base", ()
         return self._expand(iu, iv)
@@ -454,7 +454,7 @@ def word_tree_size(word: str) -> int:
 
     def size(wid: int) -> int:
         if wid not in memo:
-            children = () if ctx._base[wid] else ctx._child_ids(wid)
+            children = ctx._child_ids(wid) if len(ctx._words[wid]) > 1 else ()
             memo[wid] = 1 + sum(map(size, children))
         return memo[wid]
 

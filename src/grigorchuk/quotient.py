@@ -206,7 +206,7 @@ def build_lift_table(quotient: Quotient, rng=None) -> LiftTable:
     rng, if given, shuffles the factors; the table must not depend on
     it.
     """
-    # the factors splitting.factor_decomposition cuts even words into
+    # every even reduced word is a product of these: a star or a u a
     factors = ["b", "c", "d", "aba", "aca", "ada"]
     if rng is not None:
         rng.shuffle(factors)

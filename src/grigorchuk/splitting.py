@@ -18,8 +18,6 @@ Odd words do not fix the subtrees; split_shifted first multiplies by
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .words import a_parity, is_reduced, join_reduced, reduce_word
 
 # Section letters of each factor as translation tables: a lower-case
@@ -31,11 +29,6 @@ _SUB1 = str.maketrans({"b": "c", "c": "d", "d": "b",
                        "B": "a", "C": "a", "D": None})
 
 
-class SplitPair(NamedTuple):
-    left: str
-    right: str
-
-
 def _check(word: str, parity: int) -> None:
     if not is_reduced(word):
         raise ValueError("word must be reduced")
@@ -44,28 +37,10 @@ def _check(word: str, parity: int) -> None:
             f"word must have {'odd' if parity else 'even'} a-parity")
 
 
-def factor_decomposition(word: str) -> list[str]:
-    """Factors of an even reduced word, each "u" or "aua" with u in
-    {b, c, d}.  Their concatenation is the word itself."""
-    _check(word, 0)
-    factors = []
-    i = 0
-    n = len(word)
-    while i < n:
-        if word[i] != "a":
-            factors.append(word[i])
-            i += 1
-        else:
-            # alternation plus even parity guarantee the full triple
-            factors.append(word[i:i + 3])
-            i += 3
-    return factors
-
-
-def split(word: str) -> SplitPair:
+def split(word: str) -> tuple[str, str]:
     """Sections (w0, w1) of a reduced word of even a-parity."""
     _check(word, 0)
-    return SplitPair(*map(reduce_word, _sections(word)))
+    return tuple(map(reduce_word, _sections(word)))
 
 
 def _sections(word: str) -> tuple[str, str]:
@@ -83,7 +58,7 @@ def _sections(word: str) -> tuple[str, str]:
     return factors.translate(_SUB0), factors.translate(_SUB1)
 
 
-def split_shifted(word: str) -> SplitPair:
+def split_shifted(word: str) -> tuple[str, str]:
     """Sections of word*a for a reduced word of odd a-parity."""
     _check(word, 1)
-    return SplitPair(*map(reduce_word, _sections(join_reduced(word, "a"))))
+    return tuple(map(reduce_word, _sections(join_reduced(word, "a"))))

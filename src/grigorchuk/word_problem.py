@@ -32,8 +32,8 @@ def is_trivial(word: str) -> bool:
 def _trivial_reduced(w: str, node: WpNode | None = None) -> bool:
     """The decision for a word that is reduced or of odd a-parity.  Given
     a node for w, it records itself there: children per split, leaf marks."""
-    # w is reduced and even here, so its core needs none of the input
-    # checks of cyclic_normalize
+    # w is reduced and even here, so its core and sections are taken
+    # with no input check
     while len(w) > 1 and a_parity(w) == 0:
         w, _ = cyclic_core(w)
         if len(w) > 1:

@@ -249,11 +249,6 @@ def norm(word: str) -> AlgebraicValue:
                     for wa, wb, wc, wd in _WEIGHTS], _WEIGHT_DEN)
 
 
-def compare_norm(u: str, v: str) -> int:
-    """-1, 0 or 1 as the norm of u is below, equal to or above v's."""
-    return (norm(u) - norm(v)).sign()
-
-
 def cyclic_core(word: str):
     """Strip the frame of a reduced word: returns (m, g) with word equal
     to g m inverse(g) and g a prefix of word.  m has length <= 1 or
@@ -296,25 +291,6 @@ def cyclic_core(word: str):
     if len(m) > 1 and m[0] != "a":
         return join_reduced(m[1:], m[0]), word[:k + 1]
     return m, word[:k]
-
-
-def cyclic_normalize(word: str):
-    """Conjugate a reduced word of even a-parity into rotated normal
-    form: its cyclic_core, after checking that the word is reduced,
-    even and nonempty.
-
-    Returns (normalized, g) with normalized == reduce(inverse(g) + word + g)
-    and g a prefix of word.  The result either has length <= 1 or begins
-    with 'a' and does not end with 'a'; rotation can shorten the word,
-    never lengthen it.
-    """
-    if not is_reduced(word):
-        raise ValueError("word must be reduced")
-    if a_parity(word) != 0:
-        raise ValueError("word must have even a-parity")
-    if not word:
-        raise ValueError("word must be nonempty")
-    return cyclic_core(word)
 
 
 def enumerate_reduced(max_len: int, min_len: int = 0):

@@ -6,7 +6,27 @@ import pytest
 
 from grigorchuk.conjugacy import ConjContext
 from grigorchuk.tree_action import apply_letter
-from grigorchuk.words import LETTERS, reduce_word
+from grigorchuk.words import (LETTERS, a_parity, cyclic_core, is_reduced,
+                              reduce_word)
+
+
+def cyclic_normalize(word: str):
+    """cyclic_core of a reduced word of even a-parity, after checking
+    that the word is reduced, even and nonempty: the rotated normal form
+    the word problem was first written on, kept as a reference.
+
+    Returns (normalized, g) with normalized == reduce(inverse(g) + word + g)
+    and g a prefix of word.  The result either has length <= 1 or begins
+    with 'a' and does not end with 'a'; rotation can shorten the word,
+    never lengthen it.
+    """
+    if not is_reduced(word):
+        raise ValueError("word must be reduced")
+    if a_parity(word) != 0:
+        raise ValueError("word must have even a-parity")
+    if not word:
+        raise ValueError("word must be nonempty")
+    return cyclic_core(word)
 
 
 @pytest.fixture

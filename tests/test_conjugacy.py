@@ -10,7 +10,8 @@ from grigorchuk.conjugacy import (ConjContext, are_conjugate, build_conj_tree,
                                   explicit_tree_size, q_set, shared_context,
                                   subtree_size_census, word_children,
                                   word_tree_size)
-from grigorchuk.quotient import standard_quotient
+from grigorchuk.quotient import standard_lift_table, standard_quotient
+from grigorchuk import splitting
 from grigorchuk.splitting import split, split_shifted
 from grigorchuk.word_problem import equal, is_trivial
 from grigorchuk.words import (WordError, a_parity, cyclic_core,
@@ -341,13 +342,38 @@ def test_conjugacy_consistent_with_equality():
 
 def test_intern_of_a_foreign_letter_records_nothing():
     ctx = ConjContext()
-    columns = (ctx._ids, ctx._words, ctx._parity, ctx._base,
-               ctx._children, ctx._sec_cosets, ctx._cores)
+    columns = (ctx._ids, ctx._words, ctx._parity, ctx._children,
+               ctx._sec_cosets, ctx._cores)
     before = len(ctx._words)
     for _ in range(2):
         with pytest.raises(ValueError):
             ctx.intern("ax")
-        assert [len(column) for column in columns] == [before] * 7
+        assert [len(column) for column in columns] == [before] * 6
+
+
+def test_the_recursion_takes_sections_without_input_checks(monkeypatch):
+    # every word the recursion interns is reduced and of known parity,
+    # so a literal conjugate pair at n = 2^12 and its (ad)^4-padded twin
+    # are decided without one call of split's input check.  The lift
+    # table, built once per process, splits through the checked entry.
+    standard_lift_table()
+    checks = []
+    check = splitting._check
+
+    def counting(word, parity):
+        checks.append(len(word))
+        check(word, parity)
+
+    monkeypatch.setattr(splitting, "_check", counting)
+    rng = random.Random(25)
+    u = random_reduced_word(rng, 2 ** 11)
+    x = random_reduced_word(rng, 2 ** 11)
+    ctx = ConjContext()
+    for tail in ("", "ad" * 4):
+        assert ctx.q_mask(u, reduce_word(inverse(x) + u + x + tail))
+    assert ctx.visited_pairs > 100 and checks == []
+    # the checked entry point still goes through the counter
+    assert split("abab") == ("ca", "ac") and checks == [4]
 
 
 def test_q_mask_matches_the_raw_recursion_on_short_words(raw_q_mask):

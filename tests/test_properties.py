@@ -29,9 +29,10 @@ from grigorchuk.tree_action import (apply_word, is_trivial_at_depth,
                                     oracle_depth)
 from grigorchuk.word_problem import equal, is_trivial
 from grigorchuk.words import (_LONG, STARS, WordError, a_parity,
-                              cyclic_core, cyclic_normalize, inverse,
-                              is_reduced, join_reduced, random_reduced_word,
-                              reduce_word)
+                              cyclic_core, inverse, is_reduced, join_reduced,
+                              random_reduced_word, reduce_word)
+
+from conftest import cyclic_normalize
 
 # section letters of a single star; a triple "a u a" swaps them
 _SECTIONS = {"b": ("a", "c"), "c": ("a", "d"), "d": ("", "b")}

@@ -5,10 +5,28 @@ import random
 import pytest
 
 from grigorchuk.algebraic import ALPHA, GAMMA_A
-from grigorchuk.splitting import factor_decomposition, split, split_shifted
+from grigorchuk.splitting import split, split_shifted
 from grigorchuk.word_problem import equal
-from grigorchuk.words import (a_parity, enumerate_reduced, norm,
+from grigorchuk.words import (a_parity, enumerate_reduced, is_reduced, norm,
                               random_reduced_word, reduce_word)
+
+
+def factor_decomposition(word):
+    """Factors of an even reduced word, each "u" or "aua" with u in
+    {b, c, d}; their concatenation is the word itself.  The walk the
+    section substitution stands for, kept as a reference."""
+    if not is_reduced(word):
+        raise ValueError("word must be reduced")
+    if a_parity(word) != 0:
+        raise ValueError("word must have even a-parity")
+    factors = []
+    i = 0
+    while i < len(word):
+        # alternation plus even parity guarantee the full triple
+        step = 3 if word[i] == "a" else 1
+        factors.append(word[i:i + step])
+        i += step
+    return factors
 
 
 def test_factor_decomposition():

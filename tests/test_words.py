@@ -10,11 +10,17 @@ from grigorchuk.splitting import _sections
 from grigorchuk.word_problem import equal
 from grigorchuk import words as words_module
 from grigorchuk.words import (WordError, _reduce_long, a_parity,
-                              check_letters, compare_norm, cyclic_core,
-                              cyclic_normalize, display, enumerate_reduced,
-                              inverse, is_reduced, join_reduced,
-                              letter_counts, norm, parse_word,
+                              check_letters, cyclic_core, display,
+                              enumerate_reduced, inverse, is_reduced,
+                              join_reduced, letter_counts, norm, parse_word,
                               random_reduced_word, reduce_word)
+
+from conftest import cyclic_normalize
+
+
+def compare_norm(u, v):
+    """-1, 0 or 1 as the norm of u is below, equal to or above v's."""
+    return (norm(u) - norm(v)).sign()
 
 
 def test_parse_and_display():
